@@ -11,10 +11,14 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Reads a `kB` field from `/proc/self/status`, scaled to bytes. Returns
-/// `None` off Linux or if the field is missing.
-fn proc_status_bytes(field: &str) -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+/// One snapshot of `/proc/self/status`; `None` off Linux.
+fn proc_status() -> Option<String> {
+    std::fs::read_to_string("/proc/self/status").ok()
+}
+
+/// A `kB` field of a `/proc/self/status` snapshot, scaled to bytes.
+/// `None` if the field is missing.
+fn status_bytes(status: &str, field: &str) -> Option<u64> {
     for line in status.lines() {
         if let Some(rest) = line.strip_prefix(field) {
             let kb: u64 = rest
@@ -34,12 +38,25 @@ fn proc_status_bytes(field: &str) -> Option<u64> {
 /// kernel only ever raises this — sample it once, at the end of the
 /// measured work.
 pub fn peak_rss_bytes() -> Option<u64> {
-    proc_status_bytes("VmHWM")
+    status_bytes(&proc_status()?, "VmHWM")
 }
 
-/// Current resident set size (`VmRSS`), bytes.
-pub fn current_rss_bytes() -> Option<u64> {
-    proc_status_bytes("VmRSS")
+/// Peak (`VmHWM`) and current (`VmRSS`) resident set size, in bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Rss {
+    pub peak: u64,
+    pub current: u64,
+}
+
+/// Both resident set sizes from ONE snapshot of `/proc/self/status`, in
+/// which the kernel reports `peak >= current`. Two separate reads can see
+/// RSS grow in between and return a current above the earlier peak.
+pub fn rss_bytes() -> Option<Rss> {
+    let status = proc_status()?;
+    Some(Rss {
+        peak: status_bytes(&status, "VmHWM")?,
+        current: status_bytes(&status, "VmRSS")?,
+    })
 }
 
 static ALLOC_CURRENT: AtomicU64 = AtomicU64::new(0);
@@ -121,11 +138,11 @@ mod tests {
     fn proc_status_readers_return_plausible_values() {
         // Only meaningful on Linux; elsewhere both are None and that's fine.
         if std::path::Path::new("/proc/self/status").exists() {
-            let peak = peak_rss_bytes().expect("VmHWM present on Linux");
-            let cur = current_rss_bytes().expect("VmRSS present on Linux");
-            assert!(peak >= cur, "high-water mark below current RSS");
+            let rss = rss_bytes().expect("VmHWM and VmRSS present on Linux");
+            assert!(rss.peak >= rss.current, "high-water mark below current RSS");
             // A running test binary occupies at least a few hundred kB.
-            assert!(cur > 100 * 1024);
+            assert!(rss.current > 100 * 1024);
+            assert!(peak_rss_bytes().expect("VmHWM present on Linux") > 100 * 1024);
         }
     }
 }

@@ -115,9 +115,29 @@ impl ApiOpKind {
         }
     }
 
-    /// Parses a label produced by [`ApiOpKind::label`].
+    /// Parses a label produced by [`ApiOpKind::label`]. A `match`, not a
+    /// scan over [`Self::ALL`]: the trace parser calls this once per
+    /// `storage_done` line.
     pub fn from_label(s: &str) -> Option<ApiOpKind> {
-        Self::ALL.into_iter().find(|k| k.label() == s)
+        Some(match s {
+            "auth" => ApiOpKind::Authenticate,
+            "list_volumes" => ApiOpKind::ListVolumes,
+            "list_shares" => ApiOpKind::ListShares,
+            "upload" => ApiOpKind::Upload,
+            "download" => ApiOpKind::Download,
+            "make_file" => ApiOpKind::MakeFile,
+            "make_dir" => ApiOpKind::MakeDir,
+            "unlink" => ApiOpKind::Unlink,
+            "move" => ApiOpKind::Move,
+            "create_udf" => ApiOpKind::CreateUdf,
+            "delete_volume" => ApiOpKind::DeleteVolume,
+            "get_delta" => ApiOpKind::GetDelta,
+            "rescan_from_scratch" => ApiOpKind::RescanFromScratch,
+            "query_set_caps" => ApiOpKind::QuerySetCaps,
+            "open_session" => ApiOpKind::OpenSession,
+            "close_session" => ApiOpKind::CloseSession,
+            _ => return None,
+        })
     }
 
     /// Human name as printed in the paper's figures.
@@ -251,9 +271,35 @@ impl RpcKind {
         }
     }
 
-    /// Parses a [`RpcKind::dal_name`].
+    /// Parses a [`RpcKind::dal_name`]. A `match`, not a scan over
+    /// [`Self::ALL`]: the trace parser calls this once per `rpc` line.
     pub fn from_dal_name(s: &str) -> Option<RpcKind> {
-        Self::ALL.into_iter().find(|k| k.dal_name() == s)
+        Some(match s {
+            "dal.list_volumes" => RpcKind::ListVolumes,
+            "dal.list_shares" => RpcKind::ListShares,
+            "dal.make_dir" => RpcKind::MakeDir,
+            "dal.make_file" => RpcKind::MakeFile,
+            "dal.unlink_node" => RpcKind::UnlinkNode,
+            "dal.move" => RpcKind::Move,
+            "dal.create_udf" => RpcKind::CreateUdf,
+            "dal.delete_volume" => RpcKind::DeleteVolume,
+            "dal.get_delta" => RpcKind::GetDelta,
+            "dal.get_volume_id" => RpcKind::GetVolumeId,
+            "auth.get_user_id_from_token" => RpcKind::GetUserIdFromToken,
+            "dal.get_from_scratch" => RpcKind::GetFromScratch,
+            "dal.get_node" => RpcKind::GetNode,
+            "dal.get_root" => RpcKind::GetRoot,
+            "dal.get_user_data" => RpcKind::GetUserData,
+            "dal.add_part_to_uploadjob" => RpcKind::AddPartToUploadJob,
+            "dal.delete_uploadjob" => RpcKind::DeleteUploadJob,
+            "dal.get_reusable_content" => RpcKind::GetReusableContent,
+            "dal.get_uploadjob" => RpcKind::GetUploadJob,
+            "dal.make_content" => RpcKind::MakeContent,
+            "dal.make_uploadjob" => RpcKind::MakeUploadJob,
+            "dal.set_uploadjob_multipart_id" => RpcKind::SetUploadJobMultipartId,
+            "dal.touch_uploadjob" => RpcKind::TouchUploadJob,
+            _ => return None,
+        })
     }
 
     /// The Fig. 13 cost class of this RPC.
@@ -370,6 +416,7 @@ mod tests {
         for k in RpcKind::ALL {
             assert_eq!(RpcKind::from_dal_name(k.dal_name()), Some(k));
         }
+        assert_eq!(RpcKind::from_dal_name("dal.bogus"), None);
     }
 
     #[test]

@@ -47,9 +47,12 @@ pub enum Phase {
     Seal,
     /// The coordinator section itself (maintenance, GC, attack waves).
     Coordinator,
-    /// Parsing logfile bytes into trace records.
+    /// Parsing logfile bytes into trace records, including the day
+    /// reader's per-range sort of its own records on the parse worker.
     Parse,
-    /// The final stable sort merging per-range parse output.
+    /// Putting parse output into its final order: the day reader merging
+    /// its sorted runs into canonical order, or `read_all_parallel`'s
+    /// timestamp sort.
     Sort,
     /// Feeding records through fold partials (chunk bodies).
     Fold,

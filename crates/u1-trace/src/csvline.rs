@@ -203,14 +203,47 @@ fn parse_prefixed(s: &str, prefix: char, reason: &'static str) -> Result<u64, Li
     parse_u64(rest, reason)
 }
 
+/// The comma-separated fields of one line, walked with a byte cursor. It
+/// yields exactly what `str::split(',')` yields, empty fields included,
+/// without the generic pattern searcher: this is the parser's inner loop.
+struct Fields<'a> {
+    rest: Option<&'a str>,
+}
+
+impl<'a> Iterator for Fields<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        let rest = self.rest?;
+        match rest.bytes().position(|b| b == b',') {
+            // `,` is ASCII, so both sides of it are char boundaries.
+            Some(i) => {
+                self.rest = Some(&rest[i + 1..]);
+                Some(&rest[..i])
+            }
+            None => {
+                self.rest = None;
+                Some(rest)
+            }
+        }
+    }
+}
+
 /// Parses one CSV line into the payload + timestamp. Machine/process come
 /// from the logfile name, not the line, exactly as in the original format.
+///
+/// Parsing is pure: the record is built field by field, stamped `(0, 0)`
+/// on the first attempt with no error class unless the line's own
+/// `o=`/`q=`/`a=`/`ec=` fields say otherwise. It never reads the calling
+/// thread's fault tags or advances its [`u1_core::partition`] stamps.
 pub fn from_line(
     line: &str,
     machine: MachineId,
     process: ProcessId,
 ) -> Result<TraceRecord, LineError> {
-    let mut fields = line.trim_end().split(',');
+    let mut fields = Fields {
+        rest: Some(line.trim_end()),
+    };
     let t = SimTime::from_micros(parse_u64(
         fields.next().ok_or(LineError { reason: "empty" })?,
         "bad timestamp",
@@ -334,11 +367,16 @@ pub fn from_line(
         }
         _ => return err("unknown type"),
     };
-    let mut rec = TraceRecord::new(t, machine, process, payload);
-    // A parsed line carries its own fault tags (or none); never inherit the
-    // thread-local tags of whoever is doing the parsing.
-    rec.attempt = 1;
-    rec.error_class = None;
+    let mut rec = TraceRecord {
+        t,
+        machine,
+        process,
+        origin: 0,
+        seq: 0,
+        attempt: 1,
+        error_class: None,
+        payload,
+    };
     for field in fields {
         if let Some(v) = field.strip_prefix("a=") {
             rec.attempt = v.parse::<u32>().map_err(|_| LineError {
@@ -350,7 +388,7 @@ pub fn from_line(
             })?);
         } else if let Some(v) = field.strip_prefix("o=") {
             // Origin/seq stamps written by `write_line_stamped`; plain
-            // traces lack them and keep whatever `TraceRecord::new` stamped.
+            // traces lack them and stay stamped `(0, 0)`.
             rec.origin = v.parse::<u32>().map_err(|_| LineError {
                 reason: "bad origin",
             })?;
@@ -476,6 +514,40 @@ mod tests {
         // the stamp fields.
         let back = from_line(&plain, rec.machine, rec.process).expect("parse");
         assert_eq!((back.origin, back.seq), (0, 0));
+    }
+
+    /// Parsing on a thread that runs a simulation partition must not touch
+    /// that partition: no trace stamp is drawn from its context and no
+    /// fault tag leaks into the record.
+    #[test]
+    fn parsing_leaves_the_installed_partition_untouched() {
+        use u1_core::partition::{install, next_trace_stamp, PartitionCtx};
+        let _guard = install(PartitionCtx::new(5));
+        u1_core::fault::set_attempt(3);
+        u1_core::fault::set_error_class(Some(ErrorClass::Timeout));
+        let rec = from_line(
+            "8640012350,rpc,dal.get_node,shard3,u4,2000",
+            MachineId::new(1),
+            ProcessId::new(2),
+        );
+        u1_core::fault::clear_tags();
+        let rec = rec.expect("parse");
+        assert_eq!((rec.origin, rec.seq), (0, 0));
+        assert_eq!((rec.attempt, rec.error_class), (1, None));
+        assert_eq!(
+            next_trace_stamp(),
+            Some((5, 1)),
+            "parsing advanced the context's trace stamps"
+        );
+    }
+
+    #[test]
+    fn field_cursor_matches_split() {
+        for line in ["", ",", "a", "a,", ",a", "a,,b", "5,auth,u1,ok", "x,,,"] {
+            let cursor: Vec<&str> = Fields { rest: Some(line) }.collect();
+            let split: Vec<&str> = line.split(',').collect();
+            assert_eq!(cursor, split, "line {line:?}");
+        }
     }
 
     #[test]

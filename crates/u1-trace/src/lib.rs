@@ -20,6 +20,7 @@ pub mod anonymize;
 pub mod csvline;
 pub mod event;
 pub mod logfile;
+mod merge;
 pub mod sink;
 
 pub use anonymize::Anonymizer;

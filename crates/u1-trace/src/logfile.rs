@@ -3,29 +3,38 @@
 //! Mirrors §4 of the paper: one logfile per server process per day, named
 //! `production-<machine>-<process>-<date>`; each file is internally
 //! sequential; a merged, timestamp-sorted view is what the analyses consume;
-//! ~1% of lines may fail to parse and are skipped (and counted).
+//! ~1% of lines may fail to parse and are skipped (and counted). A line
+//! that is not UTF-8 is one of those malformed lines, never a read error.
 //!
-//! The read path is allocation-light: lines are read into one reused buffer
-//! per task (no per-line `String`), each file yields its own [`ParseStats`]
-//! so the parallel reader can sum them, and [`LogDirReader::read_all_parallel`]
-//! splits files into *byte ranges aligned to line boundaries* (pread-style:
-//! each task seeks into its own handle — one big file no longer serializes
-//! the whole read on one task) and merges per-range output in `(file, range)`
-//! order — producing output byte-identical to the serial
+//! Every reader parses *byte ranges aligned to line boundaries*: a task
+//! reads its whole range with one read into a reused byte buffer,
+//! validates UTF-8 once for the range, splits lines there, and yields its
+//! own [`ParseStats`] so the parallel readers can sum them. [`LogDirReader::read_all_parallel`] splits files
+//! into ranges (pread-style: each task seeks into its own handle, so one
+//! big file no longer serializes the read on one task) and concatenates
+//! per-range output in `(file, range)` order, byte-identical to the serial
 //! [`LogDirReader::read_all`].
 //!
 //! Range-split convention: a range `[start, end)` owns every line whose
-//! *first byte* lies in the range. A task with `start > 0` seeks to
+//! *first byte* lies in the range. A task with `start > 0` reads from
 //! `start - 1` and discards through the first `\n` (that line's first byte
 //! is owned by an earlier range), and the last line of a range may extend
 //! past `end` (later ranges skip it by the same rule). Every line is
 //! therefore parsed exactly once no matter where the split points land —
 //! mid-line, on a boundary, or past EOF.
+//!
+//! The day reader ([`LogDirReader::day_chunks`]) leaves no serial sort on
+//! its path. Each range task stable-sorts its own records by
+//! `(t, origin, seq)` on the thread that parsed them, and
+//! [`DayChunks::next_day`] merges those sorted runs in parallel by key
+//! range, with ties broken on run index: the same records, in the same
+//! order, as a stable sort of the day's concatenated ranges.
 
 use crate::csvline;
 use crate::event::TraceRecord;
+use crate::merge::{merge_key, merge_runs_parallel};
 use std::fs;
-use std::io::{BufRead, BufReader, Seek, SeekFrom};
+use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -104,40 +113,15 @@ impl ParseStats {
 }
 
 /// Parses a single logfile into records plus its own [`ParseStats`]
-/// (`files == 1`). Lines go through one reused buffer — no per-line
-/// allocation. Malformed lines are counted and skipped, never fatal.
+/// (`files == 1`): the whole file as one byte range. Malformed lines are
+/// counted and skipped, never fatal.
 pub fn read_logfile(
     path: &Path,
     machine: MachineId,
     process: ProcessId,
 ) -> std::io::Result<(Vec<TraceRecord>, ParseStats)> {
-    let mut stats = ParseStats {
-        files: 1,
-        ..ParseStats::default()
-    };
-    let mut records = Vec::new();
-    let file = fs::File::open(path)?;
-    let mut reader = BufReader::new(file);
-    let mut buf = String::with_capacity(256);
-    loop {
-        buf.clear();
-        if reader.read_line(&mut buf)? == 0 {
-            break;
-        }
-        // read_line keeps the terminator; strip `\n` / `\r\n` manually.
-        let line = buf.trim_end_matches(['\n', '\r']);
-        if line.is_empty() {
-            continue;
-        }
-        stats.lines += 1;
-        match csvline::from_line(line, machine, process) {
-            Ok(rec) => {
-                stats.parsed += 1;
-                records.push(rec);
-            }
-            Err(_) => stats.malformed += 1,
-        }
-    }
+    let (records, mut stats) = read_logfile_range(path, machine, process, 0, u64::MAX)?;
+    stats.files = 1;
     Ok((records, stats))
 }
 
@@ -154,47 +138,119 @@ pub fn read_logfile_range(
     start: u64,
     end: u64,
 ) -> std::io::Result<(Vec<TraceRecord>, ParseStats)> {
+    let mut buf = Vec::new();
     let mut stats = ParseStats::default();
     let mut records = Vec::new();
-    let file = fs::File::open(path)?;
-    let mut reader = BufReader::new(file);
-    let mut pos = if start == 0 {
+    let first = read_range(path, start, end, &mut buf)?;
+    parse_lines(&buf[first..], machine, process, &mut records, &mut stats);
+    Ok((records, stats))
+}
+
+/// How far past a range's end to read per step while finishing its last
+/// line; a trace line is ~80 bytes, so one step almost always suffices.
+const TAIL_READ: u64 = 4096;
+
+/// Reads into `buf` (cleared first) the bytes of every line whose first
+/// byte lies in `[start, end)`: one read of the range itself, starting one
+/// byte early when `start > 0`, then short reads past `end` until the last
+/// owned line's `\n` (or EOF). Returns the offset in `buf` where the first
+/// owned line starts; `buf[offset..]` holds whole lines only.
+fn read_range(path: &Path, start: u64, end: u64, buf: &mut Vec<u8>) -> std::io::Result<usize> {
+    buf.clear();
+    if start >= end {
+        return Ok(0);
+    }
+    let mut file = fs::File::open(path)?;
+    let from = start.saturating_sub(1);
+    file.seek(SeekFrom::Start(from))?;
+    let want = end - from;
+    (&mut file).take(want).read_to_end(buf)?;
+    // With `start > 0` the first byte read is `start - 1`: the first owned
+    // line starts right after the first `\n`. No `\n` before `end` means
+    // no line starts in the range.
+    let first = if start == 0 {
         0
     } else {
-        // Seek one byte early and discard through the first newline: if
-        // `start - 1` is a `\n`, this consumes exactly that byte and leaves
-        // us at `start` (a line boundary); otherwise it consumes the tail
-        // of a line owned by an earlier range. Byte-wise (`read_until`) so
-        // a seek into the middle of a line can never split a code point.
-        reader.seek(SeekFrom::Start(start - 1))?;
-        let mut skip = Vec::new();
-        let n = reader.read_until(b'\n', &mut skip)?;
-        start - 1 + n as u64
-    };
-    let mut buf = String::with_capacity(256);
-    // `pos` is the first byte of the next line; the line belongs to this
-    // range iff `pos < end`. Reading its body may run past `end`.
-    while pos < end {
-        buf.clear();
-        let n = reader.read_line(&mut buf)?;
-        if n == 0 {
-            break;
-        }
-        pos += n as u64;
-        let line = buf.trim_end_matches(['\n', '\r']);
-        if line.is_empty() {
-            continue;
-        }
-        stats.lines += 1;
-        match csvline::from_line(line, machine, process) {
-            Ok(rec) => {
-                stats.parsed += 1;
-                records.push(rec);
+        match buf.iter().position(|&b| b == b'\n') {
+            Some(i) => i + 1,
+            None => {
+                buf.clear();
+                return Ok(0);
             }
-            Err(_) => stats.malformed += 1,
+        }
+    };
+    // A full read that stops mid-line: that line started before `end`, so
+    // it is ours; read on to its terminator.
+    if buf.len() as u64 == want && buf.last() != Some(&b'\n') {
+        loop {
+            let before = buf.len();
+            (&mut file).take(TAIL_READ).read_to_end(buf)?;
+            if let Some(i) = buf[before..].iter().position(|&b| b == b'\n') {
+                buf.truncate(before + i + 1);
+                break;
+            }
+            if ((buf.len() - before) as u64) < TAIL_READ {
+                break;
+            }
         }
     }
-    Ok((records, stats))
+    Ok(first)
+}
+
+/// Parses whole lines from `bytes`, appending records and counting lines.
+/// `\r\n` endings are accepted and blank lines skipped uncounted; a line
+/// that is not UTF-8 or does not parse counts as malformed.
+///
+/// UTF-8 is validated once for the whole remainder instead of per line, so
+/// lines split with `str`'s word-at-a-time search. When validation fails,
+/// the lines before the offending one are parsed, that line is counted as
+/// malformed, and the scan resumes after it.
+fn parse_lines(
+    bytes: &[u8],
+    machine: MachineId,
+    process: ProcessId,
+    records: &mut Vec<TraceRecord>,
+    stats: &mut ParseStats,
+) {
+    let mut rest = bytes;
+    loop {
+        let (text, bad_line_end) = match std::str::from_utf8(rest) {
+            Ok(text) => (text, None),
+            Err(e) => {
+                let valid = &rest[..e.valid_up_to()];
+                let start = valid.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+                let end = rest[start..]
+                    .iter()
+                    .position(|&b| b == b'\n')
+                    .map_or(rest.len(), |i| start + i + 1);
+                // `valid[..start]` ends on a `\n`, so it is valid UTF-8.
+                (
+                    std::str::from_utf8(&valid[..start]).unwrap_or_default(),
+                    Some(end),
+                )
+            }
+        };
+        for line in text.split('\n') {
+            let line = line.trim_end_matches('\r');
+            if line.is_empty() {
+                continue;
+            }
+            stats.lines += 1;
+            match csvline::from_line(line, machine, process) {
+                Ok(rec) => {
+                    stats.parsed += 1;
+                    records.push(rec);
+                }
+                Err(_) => stats.malformed += 1,
+            }
+        }
+        let Some(end) = bad_line_end else {
+            break;
+        };
+        stats.lines += 1;
+        stats.malformed += 1;
+        rest = &rest[end..];
+    }
 }
 
 /// Parses one logfile serially but through the range reader, splitting at
@@ -285,71 +341,86 @@ fn read_files(files: &[LogfileEntry]) -> std::io::Result<(Vec<TraceRecord>, Pars
     Ok((records, stats))
 }
 
-/// Reads the given logfiles via planned byte ranges on a work-stealing
-/// cursor (see the module docs), concatenating per-range output in
-/// `(file, range)` order — byte-identical to [`read_files`] at every thread
-/// count. No sort; parse thread-time is charged to [`Phase::Parse`].
-fn read_files_parallel(
+/// Worker threads for `tasks` tasks planned for `threads` requested
+/// threads: tasks are planned for the REQUESTED count (so granularity and
+/// the range/merge logic are identical on every host), but the pool is
+/// capped at the host's cores, because extra OS threads only time-slice
+/// the same cores. Pure scheduling: output is position-indexed.
+fn worker_count(threads: usize, tasks: usize) -> usize {
+    let cpus = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    threads.min(tasks).min(cpus).max(1)
+}
+
+/// Parses the given logfiles in planned byte ranges (see the module docs)
+/// claimed off a work-stealing cursor, and returns one run per range in
+/// `(file, range)` order plus the summed stats. Each run goes through
+/// `finish` on the thread that parsed it, and each worker reuses one byte
+/// buffer across its ranges. Worker thread-time, `finish` included, is
+/// charged to [`Phase::Parse`].
+fn read_runs(
     files: &[LogfileEntry],
     threads: usize,
     timers: &PhaseTimers,
-) -> std::io::Result<(Vec<TraceRecord>, ParseStats)> {
-    let threads = threads.max(1);
-    if threads <= 1 || files.is_empty() {
-        return read_files(files);
-    }
+    finish: fn(&mut Vec<TraceRecord>),
+) -> std::io::Result<(Vec<Vec<TraceRecord>>, ParseStats)> {
     let sizes = files
         .iter()
         .map(|(path, _, _, _)| fs::metadata(path).map(|m| m.len()))
         .collect::<std::io::Result<Vec<u64>>>()?;
-    let tasks = plan_ranges(&sizes, threads);
+    let tasks = plan_ranges(&sizes, threads.max(1));
     type TaskResult = std::io::Result<(Vec<TraceRecord>, ParseStats)>;
     let slots: Mutex<Vec<Option<TaskResult>>> =
         Mutex::new((0..tasks.len()).map(|_| None).collect());
     let next = AtomicUsize::new(0);
-    // Tasks are planned for the REQUESTED thread count (so granularity
-    // and the range/merge logic are identical on every host), but the
-    // worker pool is capped at the host's cores: extra OS threads just
-    // time-slice the same cores over disjoint buffers. Pure scheduling —
-    // tasks drain off the cursor, output is position-indexed.
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let workers = threads.min(tasks.len()).min(cpus.max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let t0 = std::time::Instant::now();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(task) = tasks.get(i) else {
-                        break;
-                    };
-                    let (path, machine, process, _day) = &files[task.file];
-                    let result = read_logfile_range(path, *machine, *process, task.start, task.end);
-                    if let Ok(mut slots) = slots.lock() {
-                        slots[i] = Some(result);
-                    }
-                }
-                timers.add(Phase::Parse, saturating_nanos(t0));
+    let work = || {
+        let t0 = std::time::Instant::now();
+        let mut buf = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(task) = tasks.get(i) else {
+                break;
+            };
+            let (path, machine, process, _day) = &files[task.file];
+            let result = read_range(path, task.start, task.end, &mut buf).map(|first| {
+                // Trace lines average ~80 bytes; reserving for 64-byte lines
+                // spares the run its doubling copies.
+                let mut records = Vec::with_capacity((buf.len() - first) / 64);
+                let mut stats = ParseStats::default();
+                parse_lines(&buf[first..], *machine, *process, &mut records, &mut stats);
+                finish(&mut records);
+                (records, stats)
             });
+            if let Ok(mut slots) = slots.lock() {
+                slots[i] = Some(result);
+            }
         }
-    });
+        timers.add(Phase::Parse, saturating_nanos(t0));
+    };
+    match worker_count(threads, tasks.len()) {
+        1 => work(),
+        workers => std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(work);
+            }
+        }),
+    }
     let mut stats = ParseStats::default();
     let slots = slots
         .into_inner()
         .map_err(|_| std::io::Error::other("parse worker panicked"))?;
-    let mut records = Vec::new();
+    let mut runs = Vec::with_capacity(tasks.len());
     for (task, slot) in tasks.iter().zip(slots) {
-        let (recs, mut range_stats) =
+        let (records, mut range_stats) =
             slot.ok_or_else(|| std::io::Error::other("parse task missing"))??;
         if task.first {
             range_stats.files = 1;
         }
         stats.absorb(&range_stats);
-        records.extend(recs);
+        runs.push(records);
     }
-    Ok((records, stats))
+    Ok((runs, stats))
 }
 
 /// Reads a directory of trace logfiles.
@@ -419,7 +490,7 @@ impl LogDirReader {
     }
 
     /// [`Self::read_all_parallel`], charging parse thread-time to
-    /// [`Phase::Parse`] and the final merge sort to [`Phase::Sort`] on the
+    /// [`Phase::Parse`] and the final timestamp sort to [`Phase::Sort`] on the
     /// given timer bank (how the bench JSONs get their per-phase blocks).
     pub fn read_all_parallel_timed(
         &self,
@@ -435,9 +506,13 @@ impl LogDirReader {
             skipped_files,
             ..ParseStats::default()
         };
-        let (mut records, read_stats) = read_files_parallel(&files, threads, timers)?;
+        let (runs, read_stats) = read_runs(&files, threads, timers, |_| {})?;
         stats.absorb(&read_stats);
         let t_sort = std::time::Instant::now();
+        let mut records = Vec::with_capacity(runs.iter().map(Vec::len).sum());
+        for mut run in runs {
+            records.append(&mut run);
+        }
         records.sort_by_key(|r| r.t);
         timers.add(Phase::Sort, saturating_nanos(t_sort));
         Ok((records, stats))
@@ -448,7 +523,8 @@ impl LogDirReader {
     /// off-disk scale path: [`DirSink`](crate::DirSink) picks each record's
     /// file by `t.day_index()`, so the day files exactly partition the trace
     /// by time, and one day (~1/30 of a month) is the largest buffer the
-    /// reader ever holds.
+    /// reader ever holds: twice over while a day's sorted runs are merged
+    /// into its chunk.
     ///
     /// Each chunk is sorted by `(t, origin, seq)`. On a *stamped* directory
     /// (see [`DirSink::create_stamped`](crate::DirSink::create_stamped))
@@ -513,20 +589,28 @@ impl DayChunks {
 
     /// Reads, parses and canonically sorts the next day. `None` when every
     /// day has been consumed.
+    ///
+    /// Each byte range is parsed and stable-sorted by `(t, origin, seq)` on
+    /// its parse worker. The sorted runs are then merged in parallel by key
+    /// range: about four ranges per requested thread, as the parse plans
+    /// its byte ranges, on at most one worker per core.
     pub fn next_day(&mut self) -> Option<std::io::Result<DayChunk>> {
         self.next_day_timed(&PhaseTimers::new())
     }
 
-    /// [`Self::next_day`], charging parse thread-time to [`Phase::Parse`]
-    /// and the canonical sort to [`Phase::Sort`].
+    /// [`Self::next_day`], charging parse thread-time (the per-range sorts
+    /// included) to [`Phase::Parse`] and the merge of the sorted runs to
+    /// [`Phase::Sort`].
     pub fn next_day_timed(&mut self, timers: &PhaseTimers) -> Option<std::io::Result<DayChunk>> {
         let (day, files) = self.days.get(self.next)?;
         self.next += 1;
+        let sort_run: fn(&mut Vec<TraceRecord>) = |run| run.sort_by_key(merge_key);
         Some(
-            read_files_parallel(files, self.threads, timers).map(|(mut records, stats)| {
-                let t_sort = std::time::Instant::now();
-                records.sort_by_key(|r| (r.t, r.origin, r.seq));
-                timers.add(Phase::Sort, saturating_nanos(t_sort));
+            read_runs(files, self.threads, timers, sort_run).map(|(runs, stats)| {
+                let t_merge = std::time::Instant::now();
+                let pieces = self.threads * 4;
+                let records = merge_runs_parallel(runs, pieces, worker_count(self.threads, pieces));
+                timers.add(Phase::Sort, saturating_nanos(t_merge));
                 DayChunk {
                     day: *day,
                     records,
@@ -778,6 +862,222 @@ mod tests {
             assert_eq!(stats.parsed, expected.len());
             assert_eq!(stats.malformed, 0);
             assert_eq!(all, expected, "at {threads} threads");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A storage-free record for hand-built day files; `user` tags it so a
+    /// reordering shows.
+    fn auth_rec(t_us: u64, user: u64, origin: u32, seq: u64) -> TraceRecord {
+        TraceRecord {
+            t: SimTime::from_micros(t_us),
+            machine: MachineId::new(0),
+            process: ProcessId::new(0),
+            origin,
+            seq,
+            attempt: 1,
+            error_class: None,
+            payload: Payload::Auth {
+                user: UserId::new(user),
+                success: true,
+            },
+        }
+    }
+
+    /// Writes `lines` (each without its newline) as the logfile of
+    /// `(whitecurrant, process, day)` under `dir`.
+    fn write_day_file(dir: &Path, process: u16, day: u64, lines: &[Vec<u8>]) -> PathBuf {
+        let path = dir.join(logfile_name(
+            MachineId::new(0),
+            ProcessId::new(process),
+            day,
+        ));
+        let mut bytes = Vec::new();
+        for line in lines {
+            bytes.extend_from_slice(line);
+            bytes.push(b'\n');
+        }
+        fs::write(&path, bytes).unwrap();
+        path
+    }
+
+    fn stamped_line(rec: &TraceRecord) -> Vec<u8> {
+        let mut line = String::new();
+        csvline::write_line_stamped(rec, &mut line).unwrap();
+        line.into_bytes()
+    }
+
+    fn plain_line(rec: &TraceRecord) -> Vec<u8> {
+        csvline::to_line(rec).into_bytes()
+    }
+
+    /// The reference the day reader must equal: each of the day's files
+    /// parsed serially in path order, concatenated, and stable-sorted by
+    /// `(t, origin, seq)`.
+    fn serial_day(dir: &Path, day: u64) -> (Vec<TraceRecord>, ParseStats) {
+        let (files, _) = LogDirReader::new(dir).logfiles().unwrap();
+        let mut records = Vec::new();
+        let mut stats = ParseStats::default();
+        for (path, machine, process, _) in files.iter().filter(|f| f.3 == day) {
+            let (recs, file_stats) = read_logfile(path, *machine, *process).unwrap();
+            stats.absorb(&file_stats);
+            records.extend(recs);
+        }
+        records.sort_by_key(|r| (r.t, r.origin, r.seq));
+        (records, stats)
+    }
+
+    /// Differential test of the day reader's per-range sort and parallel
+    /// merge against a serial parse plus one stable sort, at 1/2/3/4/8
+    /// threads, over days built to break it: an unstamped day where every
+    /// record ties on origin and seq, a day where every record shares one
+    /// timestamp, a day with an empty file, a day file large enough to be
+    /// split into several byte ranges, and malformed lines throughout.
+    #[test]
+    fn day_merge_equals_serial_parse_and_stable_sort() {
+        let dir = std::env::temp_dir().join(format!("u1-logdir-merge-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut draw = move |n: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % n
+        };
+        let day_us = 86_400_000_000u64;
+        let mut user = 0u64;
+        // Day 0: unstamped, coarse timestamps so ties cross files and runs.
+        for process in 0..4u16 {
+            let lines: Vec<Vec<u8>> = (0..300)
+                .map(|_| {
+                    user += 1;
+                    plain_line(&auth_rec(draw(50) * 1_000_000, user, 0, 0))
+                })
+                .collect();
+            write_day_file(&dir, process, 0, &lines);
+        }
+        // Day 1: every record at one instant, stamped with colliding
+        // origins and sequence numbers, plus malformed lines and an empty
+        // file.
+        for process in 0..3u16 {
+            let mut lines: Vec<Vec<u8>> = (0..200)
+                .map(|i| {
+                    user += 1;
+                    stamped_line(&auth_rec(day_us + 7, user, (i % 2) as u32, i % 3))
+                })
+                .collect();
+            lines.insert(17, b"totally,bogus,line".to_vec());
+            lines.push(b"12345,frobnicate".to_vec());
+            write_day_file(&dir, process, 1, &lines);
+        }
+        write_day_file(&dir, 9, 1, &[]);
+        // Day 2: one file over four minimum ranges, written as per-origin
+        // blocks the way a stamped sink leaves them, next to a small file.
+        let mut big = Vec::new();
+        let mut bytes = 0u64;
+        let mut seq = [0u64; 8];
+        while bytes < 4 * MIN_RANGE_BYTES + 4096 {
+            let origin = draw(8) as u32;
+            let mut t = 2 * day_us + draw(80_000_000_000);
+            for _ in 0..1 + draw(40) {
+                t += draw(3) * 1_000;
+                seq[origin as usize] += 1;
+                user += 1;
+                let line = if draw(100) == 0 {
+                    b"not,a,trace,line".to_vec()
+                } else {
+                    stamped_line(&auth_rec(t, user, origin, seq[origin as usize]))
+                };
+                bytes += line.len() as u64 + 1;
+                big.push(line);
+            }
+        }
+        write_day_file(&dir, 0, 2, &big);
+        let small: Vec<Vec<u8>> = (0..50)
+            .map(|i| stamped_line(&auth_rec(2 * day_us + i * 1_000_000, i, 9, i)))
+            .collect();
+        write_day_file(&dir, 1, 2, &small);
+        // Day 3: nothing but an empty file.
+        write_day_file(&dir, 0, 3, &[]);
+
+        // The big file (the first of day 2) is split at every thread count.
+        let (files, _) = LogDirReader::new(&dir).logfiles().unwrap();
+        let day2: Vec<u64> = files
+            .iter()
+            .filter(|f| f.3 == 2)
+            .map(|f| fs::metadata(&f.0).unwrap().len())
+            .collect();
+        assert!(plan_ranges(&day2, 1).iter().filter(|t| t.file == 0).count() > 1);
+        for threads in [1, 2, 3, 4, 8] {
+            let mut chunks = LogDirReader::new(&dir).day_chunks(threads).unwrap();
+            assert_eq!(chunks.days(), 4);
+            while let Some(chunk) = chunks.next_day() {
+                let chunk = chunk.unwrap();
+                let (want, want_stats) = serial_day(&dir, chunk.day);
+                assert_eq!(
+                    chunk.stats, want_stats,
+                    "day {} at {threads} threads",
+                    chunk.day
+                );
+                assert_eq!(
+                    chunk.records, want,
+                    "day {} at {threads} threads",
+                    chunk.day
+                );
+            }
+        }
+        let (_, stats) = serial_day(&dir, 1);
+        assert_eq!((stats.malformed, stats.files), (6, 4));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A byte that is not UTF-8 makes its line malformed, not the read
+    /// fatal: every reader skips that one line, counts it, and returns all
+    /// the other records.
+    #[test]
+    fn non_utf8_line_is_malformed_not_fatal() {
+        let dir = std::env::temp_dir().join(format!("u1-logdir-utf8-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let recs: Vec<TraceRecord> = (0..40)
+            .map(|i| auth_rec(i * 1_000_000, i + 1, (i % 3) as u32, i))
+            .collect();
+        let mut lines: Vec<Vec<u8>> = recs.iter().map(stamped_line).collect();
+        let mut bad = stamped_line(&auth_rec(20_500_000, 999, 0, 99));
+        bad.insert(9, 0xFF);
+        lines.insert(21, bad);
+        let path = write_day_file(&dir, 0, 0, &lines);
+        let (m, p) = (MachineId::new(0), ProcessId::new(0));
+        let mut sorted = recs.clone();
+        sorted.sort_by_key(|r| (r.t, r.origin, r.seq));
+        let check =
+            |records: &[TraceRecord], stats: &ParseStats, want: &[TraceRecord], what: &str| {
+                assert_eq!(stats.malformed, 1, "{what}");
+                assert_eq!(stats.parsed, recs.len(), "{what}");
+                assert_eq!(records, want, "{what}");
+            };
+
+        let (records, stats) = read_logfile(&path, m, p).unwrap();
+        check(&records, &stats, &recs, "read_logfile");
+        let len = fs::metadata(&path).unwrap().len();
+        for splits in [
+            vec![1],
+            vec![len / 2],
+            (0..len).step_by(7).collect(),
+            (0..=len).collect(),
+        ] {
+            let (records, stats) = read_logfile_at_splits(&path, m, p, &splits).unwrap();
+            check(&records, &stats, &recs, "read_logfile_at_splits");
+        }
+        for threads in [1, 2, 4, 8] {
+            let reader = LogDirReader::new(&dir);
+            let (records, stats) = reader.read_all_parallel(threads).unwrap();
+            check(&records, &stats, &recs, "read_all_parallel");
+            let mut chunks = reader.day_chunks(threads).unwrap();
+            let chunk = chunks.next_day().unwrap().unwrap();
+            check(&chunk.records, &chunk.stats, &sorted, "day_chunks");
+            assert!(chunks.next_day().is_none());
         }
         let _ = fs::remove_dir_all(&dir);
     }

@@ -2,16 +2,15 @@
 
 use crate::csvline;
 use crate::event::TraceRecord;
+use crate::merge::merge_runs;
 use parking_lot::Mutex;
 use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::collections::HashMap;
 use std::fs::{self, File};
 use std::io::{BufWriter, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use u1_core::{CachePadded, MachineId, ProcessId, SimTime};
+use u1_core::{CachePadded, MachineId, ProcessId};
 
 /// Stripe count used by the lock-sharded sinks below. Origins (driver
 /// partitions) and (machine, process) pairs are spread across this many
@@ -213,7 +212,12 @@ impl MemorySink {
                 run.sort_by_key(|r| (r.t, r.seq));
             }
         }
-        merge_runs(runs)
+        if runs.len() <= 1 {
+            return runs.pop().unwrap_or_default();
+        }
+        let mut out = Vec::with_capacity(runs.iter().map(Vec::len).sum());
+        merge_runs(runs.into_iter().map(Vec::into_iter), |rec| out.push(rec));
+        out
     }
 }
 
@@ -246,48 +250,6 @@ impl TraceSink for MemorySink {
         let mut runs = self.stripes[stripe].lock();
         Self::run_slot(&mut runs, origin).append(recs);
     }
-}
-
-/// Merge key for the k-way merge: the canonical `(t, origin, seq)` order.
-type MergeKey = (SimTime, u32, u64);
-
-fn merge_key(rec: &TraceRecord) -> MergeKey {
-    (rec.t, rec.origin, rec.seq)
-}
-
-/// K-way merges per-origin runs, each sorted by `(t, seq)`, into one vector
-/// sorted by `(t, origin, seq)`. Only one head per run lives in the heap at
-/// a time, and records of different runs never share a full key (the key
-/// includes the origin), so the merge is deterministic.
-fn merge_runs(runs: Vec<Vec<TraceRecord>>) -> Vec<TraceRecord> {
-    match runs.len() {
-        0 => return Vec::new(),
-        1 => return runs.into_iter().next().unwrap_or_default(),
-        _ => {}
-    }
-    let total = runs.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    let mut iters: Vec<std::vec::IntoIter<TraceRecord>> =
-        runs.into_iter().map(Vec::into_iter).collect();
-    let mut heads: Vec<Option<TraceRecord>> = Vec::with_capacity(iters.len());
-    let mut heap: BinaryHeap<Reverse<(MergeKey, usize)>> = BinaryHeap::with_capacity(iters.len());
-    for (i, it) in iters.iter_mut().enumerate() {
-        let head = it.next();
-        if let Some(rec) = &head {
-            heap.push(Reverse((merge_key(rec), i)));
-        }
-        heads.push(head);
-    }
-    while let Some(Reverse((_, i))) = heap.pop() {
-        let next = iters[i].next();
-        if let Some(rec) = &next {
-            heap.push(Reverse((merge_key(rec), i)));
-        }
-        if let Some(rec) = std::mem::replace(&mut heads[i], next) {
-            out.push(rec);
-        }
-    }
-    out
 }
 
 /// Buffers records per origin in front of an inner sink, so hot emission
