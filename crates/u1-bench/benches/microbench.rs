@@ -369,8 +369,7 @@ fn bench_trace_encode(c: &mut Criterion) {
 
 fn bench_sink_throughput(c: &mut Criterion) {
     use criterion::BatchSize;
-    use std::sync::Arc;
-    use u1_trace::{BufferedSink, MemorySink, TraceRecord, TraceSink};
+    use u1_trace::{MemorySink, TraceRecord, TraceSink};
 
     // A batch shaped like one partition-day: a few origins, each a
     // (t, seq)-monotone run, interleaved by origin blocks.
@@ -403,39 +402,14 @@ fn bench_sink_throughput(c: &mut Criterion) {
             BatchSize::LargeInput,
         )
     });
-    g.bench_function("memory_record_batch_owned", |b| {
-        b.iter_batched(
-            || recs.clone(),
-            |mut batch| {
-                let sink = MemorySink::new();
-                sink.record_batch_owned(&mut batch);
-                sink
-            },
-            BatchSize::LargeInput,
-        )
-    });
-    g.bench_function("buffered_record_flush", |b| {
-        b.iter_batched(
-            || recs.clone(),
-            |batch| {
-                let inner = Arc::new(MemorySink::new());
-                let sink = BufferedSink::new(Arc::clone(&inner));
-                for r in batch {
-                    sink.record(r);
-                }
-                sink.flush();
-                inner
-            },
-            BatchSize::LargeInput,
-        )
-    });
     // The read side: k-way merge of the per-origin runs into canonical order.
     g.bench_function("take_sorted_merge_4_runs", |b| {
         b.iter_batched(
             || {
                 let sink = MemorySink::new();
-                let mut batch = recs.clone();
-                sink.record_batch_owned(&mut batch);
+                for r in recs.clone() {
+                    sink.record(r);
+                }
                 sink
             },
             |sink| sink.take_sorted(),

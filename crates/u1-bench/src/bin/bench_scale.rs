@@ -8,7 +8,7 @@
 //! measures exactly one mode:
 //!
 //! * **streamed** — [`u1_bench::run_scenario_streamed`] writes stamped
-//!   day-sharded logfiles straight to disk through `BufferedSink` →
+//!   day-sharded logfiles straight to disk through
 //!   [`u1_trace::DirSink`]; analytics then folds the month off disk one day
 //!   chunk at a time ([`u1_analytics::engine::run_all_offdisk`]), and a
 //!   second day-chunk pass computes the canonical trace SHA incrementally.

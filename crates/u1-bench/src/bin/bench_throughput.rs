@@ -3,14 +3,10 @@
 //!
 //! Writes `BENCH_throughput.json` (ops/sec, wall-clock, speedup vs the
 //! single-worker run) so future changes have a performance trajectory to
-//! beat, and cross-checks two determinism contracts of the parallel driver:
-//!
-//! * every worker count produces the identical `DriverReport` **and** the
-//!   identical canonical trace (SHA-1 over every line in `(t, origin, seq)`
-//!   order), and
-//! * buffering does not change the trace: a run with the batched
-//!   [`BufferedSink`] path is byte-identical to a per-record run (batch
-//!   size 1).
+//! beat, and cross-checks the determinism contract of the parallel driver:
+//! every worker count produces the identical `DriverReport` **and** the
+//! identical canonical trace (SHA-1 over every line in `(t, origin, seq)`
+//! order).
 //!
 //! A final run with the auth token cache enabled measures
 //! `token_cache_hit_rate`; its trace legitimately differs (cache hits skip
@@ -35,7 +31,7 @@ use std::time::Instant;
 use u1_core::fault::FaultPlan;
 use u1_core::{Sha1, SimClock, SimDuration};
 use u1_server::{Backend, BackendConfig};
-use u1_trace::{csvline, BufferedSink, MemorySink, TraceRecord, TraceSink};
+use u1_trace::{csvline, MemorySink, TraceRecord};
 use u1_workload::{Driver, DriverReport, WorkloadConfig};
 
 #[global_allocator]
@@ -71,29 +67,27 @@ fn run_once(
     fault: &FaultPlan,
     label: &'static str,
     workers: usize,
-    buffered: bool,
     auth_cache: bool,
 ) -> Run {
     cfg.workers = workers;
     let clock = SimClock::new();
-    let inner = Arc::new(MemorySink::new());
-    let sink: Arc<dyn TraceSink> = if buffered {
-        Arc::new(BufferedSink::new(Arc::clone(&inner)))
-    } else {
-        Arc::clone(&inner) as Arc<dyn TraceSink>
-    };
+    let sink = Arc::new(MemorySink::new());
     let backend_cfg = BackendConfig {
         seed: cfg.seed ^ 0xBACC,
         auth_cache_ttl: auth_cache.then(|| SimDuration::from_hours(8)),
         fault: fault.clone(),
         ..BackendConfig::default()
     };
-    let backend = Arc::new(Backend::new(backend_cfg, Arc::new(clock.clone()), sink));
+    let backend = Arc::new(Backend::new(
+        backend_cfg,
+        Arc::new(clock.clone()),
+        sink.clone(),
+    ));
     let driver = Driver::new(cfg, Arc::clone(&backend), clock);
     let started = Instant::now();
     let report = driver.run();
     let wall_secs = started.elapsed().as_secs_f64();
-    let records = inner.take_sorted();
+    let records = sink.take_sorted();
     Run {
         label,
         workers,
@@ -157,34 +151,18 @@ fn main() {
 
     let mut runs: Vec<Run> = Vec::new();
     for &w in &worker_counts {
-        runs.push(run_once(cfg.clone(), &fault, "buffered", w, true, false));
+        runs.push(run_once(cfg.clone(), &fault, "default", w, false));
         let run = runs.last().unwrap();
         eprintln!(
-            "[throughput] workers={} buffered wall={:.2}s ops/s={:.0}",
+            "[throughput] workers={} wall={:.2}s ops/s={:.0}",
             run.workers,
             run.wall_secs,
             run.ops as f64 / run.wall_secs
         );
     }
-    // Batch-size cross-check: per-record emission (batch size 1) against the
-    // buffered path at the same worker count.
-    let unbuffered = run_once(
-        cfg.clone(),
-        &fault,
-        "per-record",
-        worker_counts[0],
-        false,
-        false,
-    );
-    eprintln!(
-        "[throughput] workers={} per-record wall={:.2}s ops/s={:.0}",
-        unbuffered.workers,
-        unbuffered.wall_secs,
-        unbuffered.ops as f64 / unbuffered.wall_secs
-    );
 
-    // Determinism cross-check: neither worker count nor batching may change
-    // what happened or what was traced.
+    // Determinism cross-check: the worker count may not change what
+    // happened or what was traced.
     let deterministic = runs.windows(2).all(|w| {
         w[0].report == w[1].report
             && w[0].records == w[1].records
@@ -194,24 +172,10 @@ fn main() {
         deterministic,
         "DriverReport or canonical trace differs across worker counts — determinism violated"
     );
-    let batch_invariant = unbuffered.report == runs[0].report
-        && unbuffered.records == runs[0].records
-        && unbuffered.trace_hash == runs[0].trace_hash;
-    assert!(
-        batch_invariant,
-        "buffered trace differs from per-record trace — batching changed the output"
-    );
 
     // Auth-cache run: same workload with the memcached-analogue token cache
     // enabled, to record the hit rate and the fast-path throughput.
-    let cached = run_once(
-        cfg.clone(),
-        &fault,
-        "auth-cached",
-        worker_counts[0],
-        true,
-        true,
-    );
+    let cached = run_once(cfg.clone(), &fault, "auth-cached", worker_counts[0], true);
     let cache_lookups = cached.report.token_cache_hits + cached.report.token_cache_misses;
     let token_cache_hit_rate = if cache_lookups == 0 {
         0.0
@@ -240,25 +204,24 @@ fn main() {
             "NOT VALID — single-core host"
         }
     ));
-    human.push_str("workers  mode        wall(s)   ops/s     speedup   park%  flush%\n");
+    human.push_str("workers  mode        wall(s)   ops/s     speedup   park%\n");
     let mut rows: Vec<serde_json::Value> = Vec::new();
-    for r in runs.iter().chain([&unbuffered, &cached]) {
+    for r in runs.iter().chain([&cached]) {
         let ops_per_sec = r.ops as f64 / r.wall_secs;
         let speedup = base.wall_secs / r.wall_secs;
         // Phase accounting: thread-seconds per phase, measured inside the
-        // driver (see DESIGN.md §13). Park% and flush% are shares of worker
-        // thread time — the two overheads this benchmark exists to shrink.
+        // driver (see DESIGN.md §13). Park% is the share of worker thread
+        // time spent waiting at day barriers.
         let t = &*r.report.timing;
-        let worker_total = (t.worker_run_nanos + t.barrier_park_nanos + t.day_flush_nanos).max(1);
+        let worker_total = (t.worker_run_nanos + t.barrier_park_nanos).max(1);
         human.push_str(&format!(
-            "{:>7}  {:<10}  {:>7.2}  {:>8.0}  {:>6.2}x  {:>5.1}  {:>6.1}\n",
+            "{:>7}  {:<10}  {:>7.2}  {:>8.0}  {:>6.2}x  {:>5.1}\n",
             r.workers,
             r.label,
             r.wall_secs,
             ops_per_sec,
             speedup,
             100.0 * t.barrier_park_nanos as f64 / worker_total as f64,
-            100.0 * t.day_flush_nanos as f64 / worker_total as f64,
         ));
         rows.push(json!({
             "workers": r.workers,
@@ -310,7 +273,6 @@ fn main() {
             "trace_records": base.records,
             "trace_hash": base.trace_hash,
             "deterministic_across_worker_counts": deterministic,
-            "batch_invariant": batch_invariant,
             "token_cache_hit_rate": token_cache_hit_rate,
             "runs": rows,
         }),

@@ -5,10 +5,12 @@
 //!
 //! 1. **Parity** — the golden fleet scenario is run twice in lockstep
 //!    virtual time, once through [`DirectTransport`] and once through
-//!    [`TcpTransport`] against the reactor. The fleet reports must be
-//!    equal and the canonical back-end traces byte-identical; any
-//!    divergence panics, which is the CI gate for "the socket path adds
-//!    transport, not behavior".
+//!    [`TcpTransport`] against the reactor. The reactor's per-IP accept
+//!    burst sits far above any session rate the fleet reaches, so no
+//!    session is refused (asserted). The fleet reports must be equal and
+//!    the canonical back-end traces byte-identical; any divergence panics,
+//!    which is the CI gate for "the socket path adds transport, not
+//!    behavior".
 //! 2. **Load** — a concurrent fleet (one thread per client, think times
 //!    compressed) drives the reactor over loopback while we record
 //!    per-exchange service times (p50/p99/p999), per-op breakdowns,
@@ -30,7 +32,7 @@ use std::time::Instant;
 use u1_auth::AuthConfig;
 use u1_client::{DirectTransport, TcpTransport};
 use u1_core::{RealClock, Sha1, SimClock, UserId};
-use u1_server::{Backend, BackendConfig, TcpServer};
+use u1_server::{Backend, BackendConfig, ReactorConfig, TcpServer};
 use u1_trace::{csvline, MemorySink, TraceRecord};
 use u1_workload::{fleet, FleetConfig, FleetReport};
 
@@ -90,14 +92,24 @@ fn run_wire(cfg: &FleetConfig) -> (FleetReport, String, u64) {
         sink.clone(),
     ));
     let tokens = register(&backend, cfg.users);
-    let server = TcpServer::start(Arc::clone(&backend), "127.0.0.1:0").expect("bind reactor");
+    // A lockstep fleet opens sessions as fast as the loop runs, far above
+    // the default per-IP accept burst; a refused session would make the
+    // two runs differ.
+    let reactor = ReactorConfig {
+        accept_burst_per_ip: 1_000_000,
+        ..ReactorConfig::default()
+    };
+    let server =
+        TcpServer::start_with(Arc::clone(&backend), "127.0.0.1:0", reactor).expect("bind reactor");
     let addr = server.local_addr();
     let report = fleet::run_lockstep(cfg, &clock, &tokens, |_| {
         TcpTransport::connect(addr)
             .expect("loopback connect")
             .with_sparse_content()
     });
+    let refused = server.stats().refused_throttle;
     server.shutdown();
+    assert_eq!(refused, 0, "the parity run's reactor throttled sessions");
     let records = sink.take_sorted();
     let n = records.len() as u64;
     (report, canonical_trace_hash(&records), n)

@@ -27,7 +27,7 @@ use u1_analytics::engine::{run_all_chunked, EngineReport};
 use u1_core::SimClock;
 use u1_server::{Backend, BackendConfig};
 use u1_trace::logfile::LogDirReader;
-use u1_trace::{BufferedSink, DirSink, MemorySink, TraceRecord, TraceSink};
+use u1_trace::{DirSink, MemorySink, TraceRecord, TraceSink};
 use u1_workload::{Driver, WorkloadConfig};
 
 fn env_or<T: std::str::FromStr>(key: &str, default: T) -> T {
@@ -60,7 +60,7 @@ fn run_driver(cfg: &WorkloadConfig, workers: usize) -> Vec<TraceRecord> {
     let backend = Arc::new(Backend::new(
         backend_cfg,
         Arc::new(clock.clone()),
-        Arc::new(BufferedSink::new(Arc::clone(&sink))),
+        sink.clone(),
     ));
     Driver::new(cfg, backend, clock).run();
     sink.take_sorted()

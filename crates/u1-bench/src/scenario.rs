@@ -7,7 +7,7 @@ use u1_core::fault::FaultPlan;
 use u1_core::{SimClock, SimTime};
 use u1_metastore::store::VolumeSnapshot;
 use u1_server::{Backend, BackendConfig};
-use u1_trace::{BufferedSink, DirSink, MemorySink, TraceRecord};
+use u1_trace::{DirSink, MemorySink, TraceRecord};
 use u1_workload::{Driver, DriverReport, WorkloadConfig};
 
 /// A completed simulation run plus end-of-run state snapshots.
@@ -32,9 +32,6 @@ pub fn run_scenario(cfg: WorkloadConfig) -> Scenario {
 /// reads the same plan off the backend for its client-side behavior).
 pub fn run_scenario_with_faults(cfg: WorkloadConfig, fault: FaultPlan) -> Scenario {
     let clock = SimClock::new();
-    // Emission goes through the batched path; `sink` keeps a handle on the
-    // underlying store for `take_sorted` (the driver flushes at day
-    // boundaries and on run exit).
     let sink = Arc::new(MemorySink::new());
     let backend_cfg = BackendConfig {
         seed: cfg.seed ^ 0xBACC,
@@ -44,7 +41,7 @@ pub fn run_scenario_with_faults(cfg: WorkloadConfig, fault: FaultPlan) -> Scenar
     let backend = Arc::new(Backend::new(
         backend_cfg,
         Arc::new(clock.clone()),
-        Arc::new(BufferedSink::new(Arc::clone(&sink))),
+        sink.clone(),
     ));
     let driver = Driver::new(cfg.clone(), Arc::clone(&backend), clock);
     let started = std::time::Instant::now();
@@ -91,10 +88,9 @@ pub struct StreamedScenario {
 
 /// [`run_scenario`], but streaming every record to stamped logfiles under
 /// `dir` as the simulation runs. The wiring is identical — same seeds, same
-/// `BufferedSink` per-origin runs, same flush-off-barrier machinery (the
-/// driver is sink-agnostic) — so the emitted record sequence, and therefore
-/// the canonical `(t, origin, seq)` trace and its golden hash, match the
-/// in-memory mode exactly.
+/// per-record emission (the driver is sink-agnostic) — so the emitted
+/// records, and therefore the canonical `(t, origin, seq)` trace and its
+/// golden hash, match the in-memory mode exactly.
 pub fn run_scenario_streamed(
     cfg: WorkloadConfig,
     dir: impl Into<PathBuf>,
@@ -110,7 +106,7 @@ pub fn run_scenario_streamed(
     let backend = Arc::new(Backend::new(
         backend_cfg,
         Arc::new(clock.clone()),
-        Arc::new(BufferedSink::new(Arc::clone(&sink))),
+        sink.clone(),
     ));
     let driver = Driver::new(cfg.clone(), Arc::clone(&backend), clock);
     let started = std::time::Instant::now();

@@ -13,7 +13,7 @@ use u1_bench::scenario::{run_scenario_streamed, StreamedScenario};
 use u1_bench::{run_scenario, Scenario};
 use u1_core::{Sha1, SimClock};
 use u1_server::{Backend, BackendConfig};
-use u1_trace::{BufferedSink, DirSink, LogDirReader, TraceRecord};
+use u1_trace::{DirSink, LogDirReader, TraceRecord};
 use u1_workload::{Driver, WorkloadConfig};
 
 /// The exact workload of the driver's golden test, whose canonical trace
@@ -110,7 +110,7 @@ fn streamed_mode_reproduces_driver_golden_sha() {
         let backend = Arc::new(Backend::new(
             BackendConfig::default(),
             Arc::new(clock.clone()),
-            Arc::new(BufferedSink::new(Arc::clone(&sink))),
+            sink.clone(),
         ));
         let report = Driver::new(golden_cfg(workers), backend, clock).run();
         assert_eq!(report.trace_io_errors, 0, "{:?}", sink.first_io_error());

@@ -30,7 +30,7 @@ use serde::Serialize;
 
 /// Phases the parallel paths account time against.
 ///
-/// The driver uses the first five; the parallel logfile reader uses
+/// The driver uses the first four; the parallel logfile reader uses
 /// [`Phase::Parse`] and [`Phase::Sort`]; the chunked analytics engine uses
 /// [`Phase::Fold`] and [`Phase::Merge`]; the wire tier's reactor thread
 /// (DESIGN.md §15) splits its loop across the four `Net*` phases.
@@ -41,8 +41,6 @@ pub enum Phase {
     /// Worker threads parked at a day barrier waiting for stragglers plus
     /// the coordinator section.
     BarrierPark,
-    /// Draining `BufferedSink` day buffers (per-origin, on worker threads).
-    DayFlush,
     /// Sealing the content-index epoch at a day boundary (coordinator).
     Seal,
     /// The coordinator section itself (maintenance, GC, attack waves).
@@ -69,7 +67,7 @@ pub enum Phase {
 }
 
 /// Number of distinct [`Phase`] values (size of a [`PhaseTimers`] bank).
-pub const PHASE_COUNT: usize = 13;
+pub const PHASE_COUNT: usize = 12;
 
 impl Phase {
     #[inline]
@@ -77,17 +75,16 @@ impl Phase {
         match self {
             Phase::WorkerRun => 0,
             Phase::BarrierPark => 1,
-            Phase::DayFlush => 2,
-            Phase::Seal => 3,
-            Phase::Coordinator => 4,
-            Phase::Parse => 5,
-            Phase::Sort => 6,
-            Phase::Fold => 7,
-            Phase::Merge => 8,
-            Phase::NetAccept => 9,
-            Phase::NetRead => 10,
-            Phase::NetServe => 11,
-            Phase::NetWrite => 12,
+            Phase::Seal => 2,
+            Phase::Coordinator => 3,
+            Phase::Parse => 4,
+            Phase::Sort => 5,
+            Phase::Fold => 6,
+            Phase::Merge => 7,
+            Phase::NetAccept => 8,
+            Phase::NetRead => 9,
+            Phase::NetServe => 10,
+            Phase::NetWrite => 11,
         }
     }
 }
@@ -165,7 +162,7 @@ impl PhaseTimers {
         PhaseNanos {
             worker_run_nanos: self.get(Phase::WorkerRun),
             barrier_park_nanos: self.get(Phase::BarrierPark),
-            day_flush_nanos: self.get(Phase::DayFlush),
+            day_flush_nanos: 0,
             seal_nanos: self.get(Phase::Seal),
             coordinator_nanos: self.get(Phase::Coordinator),
             parse_nanos: self.get(Phase::Parse),
@@ -200,7 +197,9 @@ pub struct PhaseNanos {
     pub worker_run_nanos: u64,
     /// Thread-nanos workers spent parked at day barriers.
     pub barrier_park_nanos: u64,
-    /// Thread-nanos draining `BufferedSink` day buffers.
+    /// Always 0: workers emit straight into the trace sink, so there is no
+    /// day buffer left to drain. Kept so readers of the snapshot's schema
+    /// (bench JSON, the `driver.day_flush_s` benchmark metric) keep it.
     pub day_flush_nanos: u64,
     /// Nanos sealing content-index epochs (coordinator thread).
     pub seal_nanos: u64,

@@ -44,14 +44,7 @@ const GUARD_CHAIN: &[&str] = &["unwrap", "expect"];
 const SINK_TYPE_IDENTS: &[&str] = &["TraceRecord", "DriverReport", "EngineReport", "FaultFold"];
 
 /// Sink *method* calls (trace emission and bench JSON output).
-const SINK_CALL_IDENTS: &[&str] = &[
-    "record",
-    "record_batch",
-    "record_batch_owned",
-    "record_run",
-    "emit",
-    "serde_json",
-];
+const SINK_CALL_IDENTS: &[&str] = &["record", "emit", "serde_json"];
 
 /// Hash-ordered collection type names (std and the vendored fxhash).
 const HASH_TYPES: &[&str] = &["HashMap", "HashSet", "FxHashMap", "FxHashSet"];

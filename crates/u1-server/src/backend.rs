@@ -550,12 +550,4 @@ impl Backend {
     pub fn flush_trace(&self) {
         self.sink.flush();
     }
-
-    /// Flushes only one origin's (driver partition's) buffered trace
-    /// records. Driver workers call this for their own shards at day
-    /// boundaries, before parking at the barrier, so the day flush runs in
-    /// parallel instead of serially on the coordinator.
-    pub fn flush_trace_origin(&self, origin: u32) {
-        self.sink.flush_origin(origin);
-    }
 }

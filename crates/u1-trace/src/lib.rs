@@ -28,4 +28,4 @@ pub use event::{Payload, SessionEvent, TraceRecord};
 pub use logfile::{
     logfile_name, parse_logfile_name, DayChunk, DayChunks, LogDirReader, ParseStats,
 };
-pub use sink::{BufferedSink, DirSink, MemorySink, NullSink, TraceSink};
+pub use sink::{DirSink, MemorySink, NullSink, TraceSink};

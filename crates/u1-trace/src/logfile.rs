@@ -32,7 +32,7 @@
 
 use crate::csvline;
 use crate::event::TraceRecord;
-use crate::merge::{merge_key, merge_runs_parallel};
+use crate::merge::{host_threads, merge_key, merge_runs_parallel};
 use std::fs;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
@@ -347,10 +347,7 @@ fn read_files(files: &[LogfileEntry]) -> std::io::Result<(Vec<TraceRecord>, Pars
 /// capped at the host's cores, because extra OS threads only time-slice
 /// the same cores. Pure scheduling: output is position-indexed.
 fn worker_count(threads: usize, tasks: usize) -> usize {
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    threads.min(tasks).min(cpus).max(1)
+    threads.min(tasks).min(host_threads()).max(1)
 }
 
 /// Parses the given logfiles in planned byte ranges (see the module docs)

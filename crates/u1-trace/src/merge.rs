@@ -1,11 +1,10 @@
 //! Merging runs of trace records that are each sorted by the canonical
-//! `(t, origin, seq)` key: the one k-way merge ([`merge_runs`]) behind both
-//! `MemorySink::take_sorted` and the day reader, and the key-range parallel
-//! merge ([`merge_runs_parallel`]) that `DayChunks::next_day` runs it in.
+//! `(t, origin, seq)` key: the one k-way merge ([`merge_runs`]) and the
+//! key-range parallel merge ([`merge_runs_parallel`]) that both
+//! `MemorySink::take_sorted` and `DayChunks::next_day` run it in.
 
 use crate::event::TraceRecord;
 use parking_lot::Mutex;
-use std::borrow::Borrow;
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -18,33 +17,42 @@ pub(crate) fn merge_key(rec: &TraceRecord) -> MergeKey {
     (rec.t, rec.origin, rec.seq)
 }
 
+/// The host's cores: the most merge (and parse) workers worth starting,
+/// because extra OS threads only time-slice the same cores.
+pub(crate) fn host_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
 /// K-way merges `runs`, each sorted by [`merge_key`], handing the records
 /// to `emit` in `(t, origin, seq)` order. Equal keys come out in run order
 /// (the heap breaks ties on the run index), so merging the sorted pieces of
 /// a sequence reproduces a stable sort of that sequence. Only one head per
 /// run lives in the heap at a time.
-pub(crate) fn merge_runs<T, I>(runs: impl IntoIterator<Item = I>, mut emit: impl FnMut(T))
-where
-    T: Borrow<TraceRecord>,
-    I: Iterator<Item = T>,
+pub(crate) fn merge_runs<'a, I>(
+    runs: impl IntoIterator<Item = I>,
+    mut emit: impl FnMut(&'a TraceRecord),
+) where
+    I: Iterator<Item = &'a TraceRecord>,
 {
     let mut iters: Vec<I> = runs.into_iter().collect();
-    let mut heads: Vec<Option<T>> = Vec::with_capacity(iters.len());
+    let mut heads: Vec<Option<&'a TraceRecord>> = Vec::with_capacity(iters.len());
     let mut heap = BinaryHeap::with_capacity(iters.len());
     for (i, it) in iters.iter_mut().enumerate() {
         let head = it.next();
-        if let Some(rec) = &head {
-            heap.push(Reverse((merge_key(rec.borrow()), i)));
+        if let Some(rec) = head {
+            heap.push(Reverse((merge_key(rec), i)));
         }
         heads.push(head);
     }
     while let Some(mut top) = heap.peek_mut() {
         let i = top.0 .1;
         let next = iters[i].next();
-        match &next {
+        match next {
             // Replacing the top in place costs one sift instead of a pop
             // and a push.
-            Some(rec) => top.0 = (merge_key(rec.borrow()), i),
+            Some(rec) => top.0 = (merge_key(rec), i),
             None => {
                 PeekMut::pop(top);
             }
@@ -63,9 +71,10 @@ where
 /// sampled from the runs, and every run is cut at each splitter with
 /// `partition_point`, so all records with one key land in the same range.
 /// Each range is merged by [`merge_runs`] straight into its own slice of
-/// the preallocated output, on a pool of `workers` threads that claim
-/// ranges off a shared queue. The runs stay alive until the merge is done,
-/// so input and output coexist at the peak.
+/// the preallocated output, on a pool of `workers` threads (the calling
+/// thread is one of them) that claim ranges off a shared queue. The runs
+/// stay alive until the merge is done, so input and output coexist at the
+/// peak.
 pub(crate) fn merge_runs_parallel(
     mut runs: Vec<Vec<TraceRecord>>,
     pieces: usize,
@@ -101,24 +110,27 @@ pub(crate) fn merge_runs_parallel(
         free = rest;
         ranges.push((slices, dst));
     }
+    let workers = workers.clamp(1, ranges.len());
     let queue = Mutex::new(ranges.into_iter());
     let filled = AtomicUsize::new(0);
+    let work = || loop {
+        let Some((slices, dst)) = queue.lock().next() else {
+            break;
+        };
+        let len = dst.len();
+        let mut slots = dst.iter_mut();
+        merge_runs(slices.iter().map(|s| s.iter()), |rec| {
+            if let Some(slot) = slots.next() {
+                slot.write(rec.clone());
+            }
+        });
+        filled.fetch_add(len - slots.len(), Ordering::Relaxed);
+    };
     std::thread::scope(|scope| {
-        for _ in 0..workers.clamp(1, cuts.len() - 1) {
-            scope.spawn(|| loop {
-                let Some((slices, dst)) = queue.lock().next() else {
-                    break;
-                };
-                let len = dst.len();
-                let mut slots = dst.iter_mut();
-                merge_runs(slices.iter().map(|s| s.iter()), |rec: &TraceRecord| {
-                    if let Some(slot) = slots.next() {
-                        slot.write(rec.clone());
-                    }
-                });
-                filled.fetch_add(len - slots.len(), Ordering::Relaxed);
-            });
+        for _ in 1..workers {
+            scope.spawn(work);
         }
+        work();
     });
     let filled = filled.into_inner();
     assert_eq!(filled, total, "parallel merge left output slots unwritten");

@@ -2,7 +2,7 @@
 
 use crate::csvline;
 use crate::event::TraceRecord;
-use crate::merge::merge_runs;
+use crate::merge::{host_threads, merge_runs_parallel};
 use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -16,65 +16,28 @@ use u1_core::{CachePadded, MachineId, ProcessId};
 /// partitions) and (machine, process) pairs are spread across this many
 /// independent locks so concurrent emitters rarely contend.
 ///
-/// Origin-keyed sinks ([`MemorySink`], [`BufferedSink`]) stripe by
-/// `origin % STRIPES`; origins are small dense integers (one per metastore
-/// shard plus the coordinator — 11 by default), so 32 stripes is a perfect
-/// collision-free partition up to 32 driver partitions. Each stripe lock is
-/// additionally padded to its own cache line: a `parking_lot` mutex plus a
-/// `Vec` header is well under 64 bytes, so unpadded neighbours would
-/// false-share a line between workers even when their locks never collide.
+/// [`MemorySink`] stripes by `origin % STRIPES`; origins are small dense
+/// integers (one per metastore shard plus the coordinator — 11 by default),
+/// so 32 stripes is a perfect collision-free partition up to 32 driver
+/// partitions. Each stripe lock is additionally padded to its own cache
+/// line: a `parking_lot` mutex plus a `Vec` header is well under 64 bytes,
+/// so unpadded neighbours would false-share a line between workers even
+/// when their locks never collide.
 const STRIPES: usize = 32;
 
-/// Records buffered per origin before [`BufferedSink`] pushes a batch to its
-/// inner sink on its own (callers still flush explicitly at day boundaries).
-const BUFFER_FLUSH_THRESHOLD: usize = 4096;
+/// Traces shorter than this many records are merged by
+/// [`MemorySink::take_sorted`] on the calling thread: below it, starting
+/// the merge pool costs about as much as the merge. A paper-scaled month is
+/// ~5M records, far above it.
+const PARALLEL_TAKE_MIN_RECORDS: usize = 1 << 16;
 
 /// Something that accepts trace records. Implementations must be
 /// thread-safe: every API/RPC process logs through a shared sink.
 pub trait TraceSink: Send + Sync {
     fn record(&self, rec: TraceRecord);
 
-    /// Accepts a batch of records. The default forwards record by record;
-    /// sinks with per-record locking override this to take their lock once
-    /// per batch instead.
-    fn record_batch(&self, recs: &[TraceRecord]) {
-        for rec in recs {
-            self.record(rec.clone());
-        }
-    }
-
-    /// Like [`TraceSink::record_batch`] but drains `recs`, moving the
-    /// records instead of cloning them (a `Storage` record owns its `ext`
-    /// string). [`BufferedSink`] flushes through this path.
-    fn record_batch_owned(&self, recs: &mut Vec<TraceRecord>) {
-        for rec in recs.drain(..) {
-            self.record(rec);
-        }
-    }
-
-    /// Accepts one single-origin run in emission order — the shape
-    /// [`BufferedSink`] flushes. `origin` is every record's origin stamp.
-    /// The default delegates to [`TraceSink::record_batch_owned`]; sinks
-    /// that store runs (like [`MemorySink`]) override this to append the
-    /// whole vector at once instead of re-pushing record by record.
-    fn record_run(&self, origin: u32, run: &mut Vec<TraceRecord>) {
-        let _ = origin;
-        self.record_batch_owned(run);
-    }
-
     /// Flushes buffered output (no-op for memory sinks).
     fn flush(&self) {}
-
-    /// Flushes buffering specific to one origin (driver partition), leaving
-    /// other origins' buffers untouched. The default is a no-op: sinks
-    /// without per-origin buffering have already delivered everything.
-    /// [`BufferedSink`] overrides this so each driver worker can drain its
-    /// own partitions' day buffers in parallel *before* parking at the day
-    /// barrier, instead of the coordinator draining every origin serially
-    /// while all workers wait.
-    fn flush_origin(&self, origin: u32) {
-        let _ = origin;
-    }
 
     /// Number of I/O errors this sink has swallowed while running degraded
     /// (0 for in-memory sinks, which cannot fail). Surfaced so run reports
@@ -85,45 +48,12 @@ pub trait TraceSink: Send + Sync {
     }
 }
 
-/// Sharing a sink via `Arc` keeps it a sink, including the batch overrides
-/// of the underlying type.
-impl<S: TraceSink + ?Sized> TraceSink for std::sync::Arc<S> {
-    fn record(&self, rec: TraceRecord) {
-        (**self).record(rec);
-    }
-    fn record_batch(&self, recs: &[TraceRecord]) {
-        (**self).record_batch(recs);
-    }
-    fn record_batch_owned(&self, recs: &mut Vec<TraceRecord>) {
-        (**self).record_batch_owned(recs);
-    }
-    fn record_run(&self, origin: u32, run: &mut Vec<TraceRecord>) {
-        (**self).record_run(origin, run);
-    }
-    fn flush(&self) {
-        (**self).flush();
-    }
-    fn flush_origin(&self, origin: u32) {
-        (**self).flush_origin(origin);
-    }
-    fn io_errors(&self) -> u64 {
-        (**self).io_errors()
-    }
-}
-
 /// Discards all records. Useful for benchmarks isolating server cost.
 #[derive(Default, Debug)]
 pub struct NullSink;
 
 impl TraceSink for NullSink {
     fn record(&self, _rec: TraceRecord) {}
-    fn record_batch(&self, _recs: &[TraceRecord]) {}
-    fn record_batch_owned(&self, recs: &mut Vec<TraceRecord>) {
-        recs.clear();
-    }
-    fn record_run(&self, _origin: u32, run: &mut Vec<TraceRecord>) {
-        run.clear();
-    }
 }
 
 /// Per-origin run storage: each driver partition appends to its own vector,
@@ -191,17 +121,20 @@ impl MemorySink {
     /// Drains and returns all records in canonical order: sorted by
     /// `(t, origin, seq)`. Each per-origin run is already monotonic in
     /// `(t, seq)` (verified, and stable-sorted if a producer emitted out of
-    /// order), so a k-way merge reproduces exactly what the previous global
-    /// stable sort produced: full keys collide only within one origin's
-    /// legacy `(0, 0)`-stamped records, whose emission order both the old
-    /// stable sort and the merge preserve.
+    /// order), so merging the runs reproduces exactly what a global stable
+    /// sort would: full keys collide only within one origin's legacy
+    /// `(0, 0)`-stamped records, whose emission order the merge preserves.
+    ///
+    /// The runs are merged by key range on the host's cores
+    /// ([`merge_runs_parallel`]), each range written straight into its
+    /// slice of the output, so the first touch of a month-sized output is
+    /// spread over every core. Traces below [`PARALLEL_TAKE_MIN_RECORDS`]
+    /// are merged on the calling thread.
     pub fn take_sorted(&self) -> Vec<TraceRecord> {
         let mut runs: Vec<Vec<TraceRecord>> = Vec::new();
         for stripe in &self.stripes {
             for (_, run) in std::mem::take(&mut *stripe.lock()) {
-                if !run.is_empty() {
-                    runs.push(run);
-                }
+                runs.push(run);
             }
         }
         for run in &mut runs {
@@ -212,12 +145,13 @@ impl MemorySink {
                 run.sort_by_key(|r| (r.t, r.seq));
             }
         }
-        if runs.len() <= 1 {
-            return runs.pop().unwrap_or_default();
-        }
-        let mut out = Vec::with_capacity(runs.iter().map(Vec::len).sum());
-        merge_runs(runs.into_iter().map(Vec::into_iter), |rec| out.push(rec));
-        out
+        let total: usize = runs.iter().map(Vec::len).sum();
+        let threads = if total < PARALLEL_TAKE_MIN_RECORDS {
+            1
+        } else {
+            host_threads()
+        };
+        merge_runs_parallel(runs, 4 * threads, threads)
     }
 }
 
@@ -226,131 +160,6 @@ impl TraceSink for MemorySink {
         let stripe = rec.origin as usize % self.stripes.len();
         let mut runs = self.stripes[stripe].lock();
         Self::run_slot(&mut runs, rec.origin).push(rec);
-    }
-
-    fn record_batch_owned(&self, recs: &mut Vec<TraceRecord>) {
-        // Batches arriving from `BufferedSink` are single-origin; append
-        // contiguous same-origin spans under one lock acquisition.
-        let mut drained = recs.drain(..).peekable();
-        while let Some(rec) = drained.next() {
-            let origin = rec.origin;
-            let stripe = origin as usize % self.stripes.len();
-            let mut runs = self.stripes[stripe].lock();
-            let run = Self::run_slot(&mut runs, origin);
-            run.push(rec);
-            while let Some(next) = drained.next_if(|r| r.origin == origin) {
-                run.push(next);
-            }
-        }
-    }
-
-    fn record_run(&self, origin: u32, recs: &mut Vec<TraceRecord>) {
-        // One lock acquisition and one slab memcpy for the whole run.
-        let stripe = origin as usize % self.stripes.len();
-        let mut runs = self.stripes[stripe].lock();
-        Self::run_slot(&mut runs, origin).append(recs);
-    }
-}
-
-/// Buffers records per origin in front of an inner sink, so hot emission
-/// paths touch an uncontended stripe instead of the inner sink's locks.
-///
-/// Workers in `u1-workload::driver` flush at day boundaries (all partitions
-/// parked on the barrier), and the buffer self-flushes an origin's run when
-/// it reaches `BUFFER_FLUSH_THRESHOLD` records. Because each origin is
-/// emitted by exactly one thread and delivered to the inner sink in
-/// emission order, buffering never changes the canonical `(t, origin, seq)`
-/// trace — only the interleaving of already-concurrent origins.
-pub struct BufferedSink<S: TraceSink> {
-    inner: S,
-    stripes: Vec<CachePadded<Mutex<OriginRuns>>>,
-}
-
-impl<S: TraceSink> BufferedSink<S> {
-    pub fn new(inner: S) -> Self {
-        Self::with_stripes(inner, STRIPES)
-    }
-
-    /// A buffer with a custom stripe count (collision-free as long as
-    /// `stripes` is at least the number of distinct origins).
-    pub fn with_stripes(inner: S, stripes: usize) -> Self {
-        Self {
-            inner,
-            stripes: (0..stripes.max(1))
-                .map(|_| CachePadded::new(Mutex::new(Vec::new())))
-                .collect(),
-        }
-    }
-
-    /// The wrapped sink. Records still buffered are not visible in it until
-    /// [`TraceSink::flush`].
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-}
-
-impl<S: TraceSink> TraceSink for BufferedSink<S> {
-    fn record(&self, rec: TraceRecord) {
-        let origin = rec.origin;
-        let stripe = origin as usize % self.stripes.len();
-        let mut full: Option<(u32, Vec<TraceRecord>)> = None;
-        {
-            let mut runs = self.stripes[stripe].lock();
-            let run = MemorySink::run_slot(&mut runs, origin);
-            run.push(rec);
-            if run.len() >= BUFFER_FLUSH_THRESHOLD {
-                full = Some((origin, std::mem::take(run)));
-            }
-        }
-        if let Some((origin, mut batch)) = full {
-            self.inner.record_run(origin, &mut batch);
-        }
-    }
-
-    fn record_batch_owned(&self, recs: &mut Vec<TraceRecord>) {
-        for rec in recs.drain(..) {
-            self.record(rec);
-        }
-    }
-
-    fn flush(&self) {
-        for stripe in &self.stripes {
-            let runs = std::mem::take(&mut *stripe.lock());
-            for (origin, mut run) in runs {
-                if !run.is_empty() {
-                    self.inner.record_run(origin, &mut run);
-                }
-            }
-        }
-        self.inner.flush();
-    }
-
-    fn flush_origin(&self, origin: u32) {
-        // Take only this origin's run out of its stripe; deliver outside the
-        // stripe lock. The inner sink is NOT flushed: flush_origin is the
-        // hot per-day path (memory delivery), while I/O flushing stays with
-        // the run-final full flush().
-        let stripe = origin as usize % self.stripes.len();
-        let run = {
-            let mut runs = self.stripes[stripe].lock();
-            let slot = MemorySink::run_slot(&mut runs, origin);
-            if slot.is_empty() {
-                return;
-            }
-            std::mem::take(slot)
-        };
-        let mut run = run;
-        self.inner.record_run(origin, &mut run);
-    }
-
-    fn io_errors(&self) -> u64 {
-        self.inner.io_errors()
-    }
-}
-
-impl<S: TraceSink> Drop for BufferedSink<S> {
-    fn drop(&mut self) {
-        self.flush();
     }
 }
 
@@ -529,21 +338,6 @@ impl TraceSink for DirSink {
         });
     }
 
-    fn record_batch(&self, recs: &[TraceRecord]) {
-        LINE_BUF.with(|b| {
-            let mut buf = b.borrow_mut();
-            for rec in recs {
-                self.write_line_for_mode(rec, &mut buf);
-                self.write_serialized(rec.machine, rec.process, rec.t.day_index(), buf.as_bytes());
-            }
-        });
-    }
-
-    fn record_batch_owned(&self, recs: &mut Vec<TraceRecord>) {
-        self.record_batch(recs);
-        recs.clear();
-    }
-
     fn flush(&self) {
         for stripe in &self.stripes {
             for (_, slot) in stripe.lock().iter_mut() {
@@ -573,6 +367,7 @@ impl Drop for DirSink {
 mod tests {
     use super::*;
     use crate::event::{Payload, SessionEvent};
+    use crate::merge::merge_runs;
     use u1_core::{SessionId, SimTime, UserId};
 
     fn rec(t_secs: u64, machine: u16, process: u16) -> TraceRecord {
@@ -633,44 +428,43 @@ mod tests {
         assert_eq!(recs.len(), 6);
     }
 
+    /// Above the parallel floor, `take_sorted` equals a serial merge of
+    /// the same runs: an origin-0 legacy run emitted out of order (and with
+    /// colliding `(0, 0)` stamps), and timestamps shared across origins.
     #[test]
-    fn buffered_sink_flush_delivers_everything() {
-        let inner = std::sync::Arc::new(MemorySink::new());
-        let buffered = BufferedSink::new(std::sync::Arc::clone(&inner));
-        for i in 0..100 {
-            buffered.record(rec_origin(i, (i % 3) as u32, i));
+    fn parallel_take_equals_serial_merge() {
+        let n = PARALLEL_TAKE_MIN_RECORDS as u64;
+        let sink = MemorySink::new();
+        let mut runs: Vec<Vec<TraceRecord>> = vec![Vec::new(); 5];
+        let emit = |r: TraceRecord, runs: &mut Vec<Vec<TraceRecord>>| {
+            runs[r.origin as usize].push(r.clone());
+            sink.record(r);
+        };
+        for i in 0..n {
+            // Origins 1..=4 stamp (t, seq) in order; t repeats every 4
+            // records, so equal timestamps meet across all origins.
+            emit(rec_origin(i / 4, 1 + (i % 4) as u32, i / 4), &mut runs);
         }
-        assert!(inner.is_empty(), "nothing reaches inner before flush");
-        buffered.flush();
-        assert_eq!(inner.len(), 100);
-    }
-
-    #[test]
-    fn buffered_sink_flush_origin_drains_only_that_origin() {
-        let inner = std::sync::Arc::new(MemorySink::new());
-        let buffered = BufferedSink::new(std::sync::Arc::clone(&inner));
-        for i in 0..30u64 {
-            buffered.record(rec_origin(i, (i % 3) as u32, i));
+        for i in 0..n / 8 {
+            // Legacy origin-0 records: no partition stamp, time running
+            // backwards in blocks, machine marking emission order.
+            emit(rec(n / 4 - (i % 97) * 3, (i % 7) as u16, 0), &mut runs);
         }
-        buffered.flush_origin(1);
-        assert_eq!(inner.len(), 10, "only origin 1's run is delivered");
-        assert!(inner
-            .take_sorted()
-            .iter()
-            .all(|r| r.origin == 1 && r.seq % 3 == 1));
-        // Re-flushing a drained origin is a no-op; the full flush delivers
-        // the rest.
-        buffered.flush_origin(1);
-        assert!(inner.is_empty());
-        buffered.flush();
-        assert_eq!(inner.len(), 20);
-        // Same through an `Arc<dyn TraceSink>` (how the driver holds it).
-        let shared: std::sync::Arc<dyn TraceSink> =
-            std::sync::Arc::new(BufferedSink::new(std::sync::Arc::clone(&inner)));
-        let _ = inner.take_sorted();
-        shared.record(rec_origin(1, 7, 0));
-        shared.flush_origin(7);
-        assert_eq!(inner.len(), 1);
+        assert!(sink.len() >= PARALLEL_TAKE_MIN_RECORDS);
+        for run in &mut runs {
+            run.sort_by_key(|r| (r.t, r.seq));
+        }
+        let mut want = Vec::new();
+        merge_runs(runs.iter().map(|run| run.iter()), |r: &TraceRecord| {
+            want.push(r.clone())
+        });
+        let got = sink.take_sorted();
+        assert_eq!(got.len(), want.len());
+        assert!(
+            got == want,
+            "parallel take_sorted differs from a serial merge"
+        );
+        assert!(sink.is_empty());
     }
 
     #[test]
@@ -718,14 +512,12 @@ mod tests {
         assert_eq!(sink.io_errors(), 2);
         assert!(sink.first_io_error().is_some());
         // The count is visible through the trait too (how `Driver::run`
-        // surfaces it into `DriverReport::trace_io_errors`), including
-        // through an `Arc<dyn TraceSink>` and a `BufferedSink` wrapper.
+        // surfaces it into `DriverReport::trace_io_errors`), through an
+        // `Arc<dyn TraceSink>`.
         let shared: std::sync::Arc<dyn TraceSink> = std::sync::Arc::new(sink);
-        assert_eq!(TraceSink::io_errors(&shared), 2);
-        let buffered = BufferedSink::new(std::sync::Arc::clone(&shared));
-        assert_eq!(buffered.io_errors(), 2);
+        assert_eq!(shared.io_errors(), 2);
         let memory: std::sync::Arc<dyn TraceSink> = std::sync::Arc::new(MemorySink::new());
-        assert_eq!(TraceSink::io_errors(&memory), 0);
+        assert_eq!(memory.io_errors(), 0);
         let _ = fs::remove_file(&bogus);
     }
 

@@ -20,21 +20,21 @@
 //! pure function of the seed and the partition, never of thread
 //! interleaving.
 //!
-//! Partitions are packed onto `cfg.workers` OS threads by *measured* load:
-//! day 0 uses client counts as the proxy, and every later day re-packs the
-//! shards LPT-style (heaviest first onto the least-loaded worker) using the
-//! event counts each shard actually processed the previous day. Workers run
-//! a day of virtual time at a time, drain their own partitions' buffered
-//! trace runs ([`Backend::flush_trace_origin`]) *before* parking, then park
+//! Partitions run on `cfg.workers` OS threads that claim shards one at a
+//! time, heaviest first by *measured* load: day 0 orders shards by client
+//! count, and every later day by the events each shard actually processed
+//! the previous day. A worker that finishes a light shard claims the next
+//! one, so the workers finish a day close together (greedy list scheduling
+//! in LPT order). Workers run a day of virtual time at a time, then park
 //! on a barrier while the coordinator runs its own events for the day and
 //! seals the content-index epoch ([`Backend::seal_content_epoch`]), making
 //! the day's cross-partition dedup state globally visible. Because no
-//! mutable state is keyed by thread or by global arrival order — packing
-//! and flush scheduling only move *when* work happens on the wall clock,
-//! never *what* the simulation computes — the report and the
-//! canonically-sorted trace are identical for every worker count:
-//! `workers` is purely a wall-clock knob. Where the wall-clock goes is
-//! accounted per phase ([`u1_core::timing`]) and surfaced in
+//! mutable state is keyed by thread or by global arrival order — claiming
+//! only moves *when* and *where* work happens on the wall clock, never
+//! *what* the simulation computes — the report and the canonically-sorted
+//! trace are identical for every worker count and every shard→worker
+//! mapping: `workers` is purely a wall-clock knob. Where the wall-clock
+//! goes is accounted per phase ([`u1_core::timing`]) and surfaced in
 //! [`DriverReport::timing`].
 
 use crate::attack::AttackScript;
@@ -46,7 +46,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier, Mutex, RwLock};
 use u1_auth::Token;
 use u1_blobstore::PART_SIZE;
 use u1_core::fault::{self, CircuitBreaker, FaultInjector, RetryPolicy};
@@ -395,7 +396,6 @@ fn class_filter(c: &mut ClientState, mut op: ApiOpKind, t: SimTime) -> ApiOpKind
 /// single metastore shard, with their own event queue, file-name/content
 /// namespace, and trace origin.
 struct ShardSim {
-    origin: u32,
     ctx: Arc<PartitionCtx>,
     backend: Arc<Backend>,
     clients: Vec<ClientState>,
@@ -1475,30 +1475,54 @@ impl CoordinatorSim {
     }
 }
 
-/// Packs `weights.len()` shards onto `workers` bins, heaviest-first onto
-/// the currently lightest bin (LPT / greedy makespan). Deterministic: ties
-/// break toward the lower shard index and the lower bin index. Packing is
-/// a pure wall-clock decision — every shard still runs exactly its own
-/// events, so results are packing-invariant.
-fn pack_lpt(weights: &[u64], workers: usize) -> Vec<Vec<usize>> {
-    let workers = workers.max(1);
-    let mut order: Vec<usize> = (0..weights.len()).collect();
-    order.sort_by_key(|&i| (Reverse(weights[i]), i));
-    let mut loads = vec![0u64; workers];
-    let mut bins: Vec<Vec<usize>> = vec![Vec::new(); workers];
-    for i in order {
-        let mut best = 0;
-        for (w, &load) in loads.iter().enumerate() {
-            if load < loads[best] {
-                best = w;
-            }
+/// One simulated day's shards in claim order, and the cursor workers claim
+/// them through.
+///
+/// The order is heaviest first by weight, ties to the lower shard index;
+/// every shard is claimed exactly once per day, zero-weight shards
+/// included. Claiming is a pure wall-clock decision: every shard still runs
+/// exactly its own events, so results do not depend on which worker claims
+/// what.
+///
+/// The cursor is `Relaxed`: it publishes no data. The order is read under
+/// its lock, a shard's state under the shard's own mutex, and the day
+/// barrier orders a [`ShardClaims::reset`] before the next day's claims.
+struct ShardClaims {
+    order: RwLock<Vec<usize>>,
+    next: AtomicUsize,
+}
+
+impl ShardClaims {
+    fn new(weights: &[u64]) -> Self {
+        Self {
+            order: RwLock::new(Self::order(weights)),
+            next: AtomicUsize::new(0),
         }
-        // A zero-weight shard still costs a lock + queue peek; floor at 1
-        // so empty shards spread instead of piling onto one bin.
-        loads[best] += weights[i].max(1);
-        bins[best].push(i);
     }
-    bins
+
+    fn order(weights: &[u64]) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..weights.len()).collect();
+        order.sort_by_key(|&i| (Reverse(weights[i]), i));
+        order
+    }
+
+    /// The next unclaimed shard of the day, or `None` once all are taken.
+    fn claim(&self) -> Option<usize> {
+        let k = self.next.fetch_add(1, Ordering::Relaxed);
+        self.order
+            .read()
+            .expect("claim order lock poisoned")
+            .get(k)
+            .copied()
+    }
+
+    /// Starts the next day's claims in a new order. Called only while
+    /// every worker is parked on the day barrier, which orders the reset
+    /// before the next day's claims.
+    fn reset(&self, weights: &[u64]) {
+        *self.order.write().expect("claim order lock poisoned") = Self::order(weights);
+        self.next.store(0, Ordering::Relaxed);
+    }
 }
 
 /// The driver itself.
@@ -1528,7 +1552,6 @@ impl Driver {
         let retry_policy = backend.config().fault.client_retry;
         let shards = (0..shard_count)
             .map(|s| ShardSim {
-                origin: s as u32,
                 ctx: PartitionCtx::new(s as u32),
                 backend: Arc::clone(&backend),
                 clients: Vec::new(),
@@ -1677,57 +1700,39 @@ impl Driver {
             0 => shard_count.max(1),
             w => w.min(shard_count).max(1),
         };
-        let coord_origin = self.coordinator.ctx.origin();
-        // One lock per shard partition: shards migrate between workers when
-        // the day-boundary re-pack moves them, so they cannot be owned by
-        // one thread's stack. Workers lock only their assigned shards while
-        // running a day; the coordinator locks each briefly while every
-        // worker is parked — the locks are never contended, they only carry
-        // ownership across days.
+        // One lock per shard partition: shards move between workers from
+        // day to day as they are claimed, so they cannot be owned by one
+        // thread's stack. A worker locks only the shard it claimed; the
+        // coordinator locks each briefly while every worker is parked — the
+        // locks are never contended, they only carry ownership across days.
         let shards: Vec<Mutex<ShardSim>> = self.shards.drain(..).map(Mutex::new).collect();
-        // Day 0 packs by client count (the only load signal available
-        // before anything ran); each later day re-packs by the event count
-        // each shard actually processed the previous day.
+        // Day 0 orders by client count (the only load signal available
+        // before anything ran); each later day by the event count each
+        // shard actually processed the previous day.
         let init_weights: Vec<u64> = shards
             .iter()
             .map(|s| s.lock().expect("shard lock poisoned").clients.len() as u64)
             .collect();
-        let assignments: Vec<Mutex<Vec<usize>>> = pack_lpt(&init_weights, workers)
-            .into_iter()
-            .map(Mutex::new)
-            .collect();
+        let claims = ShardClaims::new(&init_weights);
         let timers = PhaseTimers::new();
         let barrier = Barrier::new(workers + 1);
         let coordinator = &mut self.coordinator;
         let backend = &self.backend;
         std::thread::scope(|s| {
-            for w in 0..workers {
+            for _ in 0..workers {
                 let barrier = &barrier;
                 let shards = &shards;
-                let assignments = &assignments;
+                let claims = &claims;
                 let timers = &timers;
                 s.spawn(move || {
-                    let mut mine: Vec<usize> = Vec::new();
                     for day in 0..days {
                         let day_end = SimTime::from_days(day + 1).min(horizon);
-                        mine.clear();
-                        mine.extend_from_slice(
-                            &assignments[w].lock().expect("assignment lock poisoned"),
-                        );
-                        for &i in &mine {
+                        while let Some(i) = claims.claim() {
                             let mut sim = shards[i].lock().expect("shard lock poisoned");
                             let _g = u1_core::partition::install(sim.ctx.clone());
                             let t_run = std::time::Instant::now();
                             sim.run_until(day_end);
                             timers.add(Phase::WorkerRun, saturating_nanos(t_run));
-                            // Drain this partition's buffered day run *off*
-                            // the barrier: flushing in parallel here instead
-                            // of serially on the coordinator while everyone
-                            // waits. Per-origin order is preserved, so the
-                            // canonical trace is unchanged.
-                            let t_flush = std::time::Instant::now();
-                            backend.flush_trace_origin(sim.origin);
-                            timers.add(Phase::DayFlush, saturating_nanos(t_flush));
                         }
                         let t_park = std::time::Instant::now();
                         // All partitions quiescent: let the coordinator run.
@@ -1746,8 +1751,8 @@ impl Driver {
                 {
                     let _g = u1_core::partition::install(coordinator.ctx.clone());
                     // Fold the parked shards' reports into the attack
-                    // baseline and read the per-day event deltas that drive
-                    // the next day's packing. The locks are uncontended:
+                    // baseline and read the per-day event deltas that order
+                    // the next day's claims. The locks are uncontended:
                     // every worker is parked on the barrier.
                     let mut baseline = coordinator.report.clone();
                     for (i, shard) in shards.iter().enumerate() {
@@ -1765,24 +1770,13 @@ impl Driver {
                     let t_seal = std::time::Instant::now();
                     backend.seal_content_epoch();
                     timers.add(Phase::Seal, saturating_nanos(t_seal));
-                    // Every shard origin was drained by its worker before
-                    // parking; only the coordinator's own day records
-                    // (attacks, maintenance) remain buffered.
-                    let t_flush = std::time::Instant::now();
-                    backend.flush_trace_origin(coord_origin);
-                    timers.add(Phase::DayFlush, saturating_nanos(t_flush));
-                    if day + 1 < days {
-                        for (slot, bin) in assignments.iter().zip(pack_lpt(&deltas, workers)) {
-                            *slot.lock().expect("assignment lock poisoned") = bin;
-                        }
-                    }
+                    claims.reset(&deltas);
                 }
                 barrier.wait();
             }
         });
         self.clock.set(horizon);
-        // Run-final full flush: leftover buffers (legacy origin 0 emitters,
-        // anything recorded outside a partition ctx) and sink I/O flushing.
+        // Run-final flush: sink I/O (a `DirSink`'s buffered writers).
         self.backend.flush_trace();
         let mut report = self.coordinator.report.clone();
         for shard in &shards {
@@ -1790,17 +1784,6 @@ impl Driver {
         }
         report.users = self.cfg.users;
         report.timing = Measured(timers.snapshot());
-        if std::env::var("U1_DRIVER_TIMING").is_ok() {
-            let t = report.timing.0;
-            eprintln!(
-                "[driver-timing] run {:.2}s park {:.2}s flush {:.2}s coordinator {:.2}s seal {:.2}s (thread-seconds)",
-                t.worker_run_nanos as f64 / 1e9,
-                t.barrier_park_nanos as f64 / 1e9,
-                t.day_flush_nanos as f64 / 1e9,
-                t.coordinator_nanos as f64 / 1e9,
-                t.seal_nanos as f64 / 1e9,
-            );
-        }
         let cache = self.backend.token_cache_stats();
         report.token_cache_hits = cache.hits;
         report.token_cache_misses = cache.misses;
@@ -1885,32 +1868,51 @@ mod tests {
     }
 
     #[test]
-    fn lpt_packing_is_deterministic_and_balanced() {
-        // Heaviest shard first onto the emptiest bin; ties to lower index.
-        let bins = pack_lpt(&[5, 9, 1, 7, 3], 2);
-        // Placement order 9,7,5,3,1: loads end at bin0 = 9+3+1 = 13,
-        // bin1 = 7+5 = 12 — within one item of optimal. Every shard
-        // appears exactly once.
-        assert_eq!(bins, vec![vec![1, 4, 2], vec![3, 0]]);
-        let mut all: Vec<usize> = bins.concat();
+    fn shards_are_claimed_heaviest_first_once_each() {
+        // Heaviest first; the tie between shards 0 and 4 goes to the lower
+        // index; zero-weight shards are still claimed, last.
+        let claims = ShardClaims::new(&[7, 9, 0, 1, 7, 0]);
+        let day: Vec<usize> = std::iter::from_fn(|| claims.claim()).collect();
+        assert_eq!(day, vec![1, 0, 4, 3, 2, 5]);
+        assert_eq!(claims.claim(), None, "a drained day stays drained");
+        // The next day starts over in its own order.
+        claims.reset(&[0, 0, 5, 0, 0, 0]);
+        let day: Vec<usize> = std::iter::from_fn(|| claims.claim()).collect();
+        assert_eq!(day, vec![2, 0, 1, 3, 4, 5]);
+        // More workers than shards: each shard is claimed by exactly one
+        // worker, and the idle workers find nothing and return.
+        claims.reset(&[3, 1]);
+        let claimed: Vec<Vec<usize>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..5)
+                .map(|_| s.spawn(|| std::iter::from_fn(|| claims.claim()).collect()))
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let mut all = claimed.concat();
         all.sort_unstable();
-        assert_eq!(all, vec![0, 1, 2, 3, 4]);
-        // Zero weights floor at 1 so empty shards still spread.
-        let bins = pack_lpt(&[0, 0, 0, 0], 2);
-        assert_eq!(bins.iter().map(Vec::len).collect::<Vec<_>>(), vec![2, 2]);
-        // More workers than shards leaves trailing bins empty, never panics.
-        let bins = pack_lpt(&[4], 3);
-        assert_eq!(bins, vec![vec![0], vec![], vec![]]);
-        // Identical input ⇒ identical packing (the repack is wall-clock
-        // only, but the schedule itself must be reproducible).
-        assert_eq!(pack_lpt(&[5, 9, 1, 7, 3], 2), pack_lpt(&[5, 9, 1, 7, 3], 2));
+        assert_eq!(all, vec![0, 1]);
+        assert!(claimed.iter().filter(|c| c.is_empty()).count() >= 3);
+    }
+
+    /// Claiming changes which worker runs which shard from run to run;
+    /// none of that may reach the report or the trace.
+    #[test]
+    fn shard_to_worker_mapping_never_reaches_the_output() {
+        let (report, trace) = run_quick_with(1);
+        for workers in [2, 3] {
+            for rep in 0..3 {
+                let (r, t) = run_quick_with(workers);
+                assert_eq!(r, report, "report at {workers} workers, run {rep}");
+                assert!(t == trace, "trace at {workers} workers, run {rep}");
+            }
+        }
     }
 
     /// Locks the exact observable output of the driver — full report plus a
     /// SHA-1 over every canonical trace line and its `(origin, seq)` stamp.
     /// The constants were recorded on the pre-optimization code; the
-    /// zero-allocation serializer, the k-way-merge `take_sorted`, and the
-    /// batched sink path must all be byte-for-byte invisible here. If this
+    /// zero-allocation serializer, the parallel-merge `take_sorted`, and
+    /// shard claiming must all be byte-for-byte invisible here. If this
     /// test fails, a perf change altered observable behavior.
     #[test]
     fn golden_trace_and_report_are_unchanged() {
@@ -2067,41 +2069,6 @@ mod tests {
         // And the run survived: a light plan degrades, it doesn't wedge.
         assert!(r1.sessions_opened > 100, "{r1:?}");
         assert!(r1.uploads > 10, "{r1:?}");
-    }
-
-    /// The differential test for the batched path: a run whose backend logs
-    /// through a `BufferedSink` (day-boundary + threshold flushes,
-    /// `record_batch_owned` delivery) must produce the same report and a
-    /// byte-identical canonical trace as the per-record run.
-    #[test]
-    fn buffered_sink_run_is_byte_identical_to_per_record_run() {
-        let (direct_report, direct_trace) = run_quick_with(2);
-
-        let clock = SimClock::new();
-        let inner = Arc::new(MemorySink::new());
-        let buffered = Arc::new(u1_trace::BufferedSink::new(Arc::clone(&inner)));
-        let backend = Arc::new(Backend::new(
-            BackendConfig::default(),
-            Arc::new(clock.clone()),
-            buffered,
-        ));
-        let cfg = WorkloadConfig {
-            users: 120,
-            days: 3,
-            seed: 11,
-            attacks: false,
-            seed_files: 0.5,
-            workers: 2,
-        };
-        let buffered_report = Driver::new(cfg, backend, clock).run();
-        let buffered_trace = inner.take_sorted();
-
-        assert_eq!(direct_report, buffered_report);
-        assert_eq!(direct_trace.len(), buffered_trace.len());
-        for (a, b) in direct_trace.iter().zip(&buffered_trace) {
-            assert_eq!(u1_trace::csvline::to_line(a), u1_trace::csvline::to_line(b));
-            assert_eq!((a.origin, a.seq), (b.origin, b.seq));
-        }
     }
 
     fn run_quick_cached(workers: usize) -> (DriverReport, Vec<u1_trace::TraceRecord>) {
