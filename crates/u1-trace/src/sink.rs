@@ -56,10 +56,20 @@ impl TraceSink for NullSink {
     fn record(&self, _rec: TraceRecord) {}
 }
 
-/// Per-origin run storage: each driver partition appends to its own vector,
-/// so a run is naturally `(t, seq)`-monotonic unless the producer bypassed
-/// the partition clock (legacy single-threaded emitters, tests).
-type OriginRuns = Vec<(u32, Vec<TraceRecord>)>;
+/// One origin's records in emission order. Each driver partition appends
+/// to its own run, so a run is naturally `(t, seq)`-monotonic unless the
+/// producer bypassed the partition clock (legacy single-threaded emitters,
+/// tests); `in_order` is checked on every append, so
+/// [`MemorySink::take_sorted`] sorts only the runs that need it without
+/// scanning the others.
+#[derive(Debug)]
+struct OriginRun {
+    origin: u32,
+    in_order: bool,
+    records: Vec<TraceRecord>,
+}
+
+type OriginRuns = Vec<OriginRun>;
 
 /// Collects records in memory, for analyses that skip the logfile round
 /// trip. Records are kept as one run per origin (striped by origin so
@@ -95,33 +105,37 @@ impl MemorySink {
     pub fn len(&self) -> usize {
         self.stripes
             .iter()
-            .map(|s| s.lock().iter().map(|(_, run)| run.len()).sum::<usize>())
+            .map(|s| s.lock().iter().map(|run| run.records.len()).sum::<usize>())
             .sum()
     }
 
     pub fn is_empty(&self) -> bool {
         self.stripes
             .iter()
-            .all(|s| s.lock().iter().all(|(_, run)| run.is_empty()))
+            .all(|s| s.lock().iter().all(|run| run.records.is_empty()))
     }
 
-    fn run_slot(runs: &mut OriginRuns, origin: u32) -> &mut Vec<TraceRecord> {
+    fn run_slot(runs: &mut OriginRuns, origin: u32) -> &mut OriginRun {
         // Linear scan: a stripe holds at most a handful of origins (one per
         // driver partition mapping to it), so this beats hashing.
-        let idx = match runs.iter().position(|(o, _)| *o == origin) {
+        let idx = match runs.iter().position(|run| run.origin == origin) {
             Some(i) => i,
             None => {
-                runs.push((origin, Vec::new()));
+                runs.push(OriginRun {
+                    origin,
+                    in_order: true,
+                    records: Vec::new(),
+                });
                 runs.len() - 1
             }
         };
-        &mut runs[idx].1
+        &mut runs[idx]
     }
 
     /// Drains and returns all records in canonical order: sorted by
     /// `(t, origin, seq)`. Each per-origin run is already monotonic in
-    /// `(t, seq)` (verified, and stable-sorted if a producer emitted out of
-    /// order), so merging the runs reproduces exactly what a global stable
+    /// `(t, seq)` (checked on append, and stable-sorted if a producer
+    /// emitted out of order), so merging the runs reproduces exactly what a global stable
     /// sort would: full keys collide only within one origin's legacy
     /// `(0, 0)`-stamped records, whose emission order the merge preserves.
     ///
@@ -133,16 +147,11 @@ impl MemorySink {
     pub fn take_sorted(&self) -> Vec<TraceRecord> {
         let mut runs: Vec<Vec<TraceRecord>> = Vec::new();
         for stripe in &self.stripes {
-            for (_, run) in std::mem::take(&mut *stripe.lock()) {
-                runs.push(run);
-            }
-        }
-        for run in &mut runs {
-            let sorted = run
-                .windows(2)
-                .all(|w| (w[0].t, w[0].seq) <= (w[1].t, w[1].seq));
-            if !sorted {
-                run.sort_by_key(|r| (r.t, r.seq));
+            for mut run in std::mem::take(&mut *stripe.lock()) {
+                if !run.in_order {
+                    run.records.sort_by_key(|r| (r.t, r.seq));
+                }
+                runs.push(run.records);
             }
         }
         let total: usize = runs.iter().map(Vec::len).sum();
@@ -159,7 +168,11 @@ impl TraceSink for MemorySink {
     fn record(&self, rec: TraceRecord) {
         let stripe = rec.origin as usize % self.stripes.len();
         let mut runs = self.stripes[stripe].lock();
-        Self::run_slot(&mut runs, rec.origin).push(rec);
+        let run = Self::run_slot(&mut runs, rec.origin);
+        if let Some(last) = run.records.last() {
+            run.in_order &= (last.t, last.seq) <= (rec.t, rec.seq);
+        }
+        run.records.push(rec);
     }
 }
 
