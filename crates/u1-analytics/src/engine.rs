@@ -2,18 +2,17 @@
 //!
 //! Every mergeable analyzer implements [`TraceFold`]: records are `feed`
 //! one at a time, partial states from disjoint contiguous chunks are
-//! `merge`d earlier←later, and `finish` produces the same output the legacy
-//! slice-based free function produced. The legacy functions are now thin
-//! wrappers over their folds, so the two paths cannot drift.
+//! `merge`d earlier←later, and `finish` produces the analyzer's output. The
+//! slice-based free functions (`dedup_analysis`, `session_analysis`, …) are
+//! thin wrappers over their folds, so the two cannot drift.
 //!
 //! [`Battery`] bundles every fold the experiment harness needs and feeds
-//! them all from ONE pass over the trace (the legacy battery made one pass
-//! per analyzer — ~30 passes for an EXPERIMENTS.md regeneration).
-//! [`run_all_chunked`] splits the record slice into contiguous chunks
-//! (adaptively sized — see [`plan_chunk_count`]), folds each on its own
-//! thread and tree-merges the partials in chunk order; the result is
-//! exactly equal to the serial pass (see DESIGN.md §10 for the determinism
-//! argument and §13 for the scaling model).
+//! them all from ONE pass over the trace. [`run_all_chunked`] splits the
+//! record slice into contiguous chunks (adaptively sized — see
+//! [`plan_chunk_count`]), folds each on its own thread and tree-merges the
+//! partials in chunk order; the result is exactly equal to the serial pass
+//! (see DESIGN.md §10 for the determinism argument and §13 for the scaling
+//! model).
 
 use crate::burstiness::BurstinessFold;
 use crate::ddos::{DdosFold, DdosReport, DetectorConfig};
@@ -42,7 +41,7 @@ use u1_trace::TraceRecord;
 ///
 /// Laws the differential tests pin down:
 /// * **fold == slice**: feeding a sorted slice record-by-record and
-///   finishing equals the legacy slice analyzer exactly.
+///   finishing equals the slice analyzer exactly.
 /// * **merge is associative** and respects concatenation: for any split of
 ///   a sorted slice into contiguous chunks, folding each chunk into a
 ///   partial (from [`TraceFold::new_partial`]) and merging earlier←later
@@ -166,39 +165,17 @@ where
     parts.pop()
 }
 
-/// Chunk-parallel run: splits `records` into contiguous chunks (see
+/// Chunk-parallel fold: splits `records` into contiguous chunks (see
 /// [`plan_chunk_count`]), folds each on its own thread, tree-merges the
-/// partials in chunk order. Output is exactly equal to [`run_fold`] at
-/// every thread count.
-pub fn run_chunked<F>(seed: F, records: &[TraceRecord], threads: usize) -> F::Output
-where
-    F: TraceFold + Send,
-{
-    run_chunked_timed(seed, records, threads, &PhaseTimers::new())
-}
-
-/// [`run_chunked`] with phase accounting: chunk folds charge
-/// [`Phase::Fold`] (per worker, so the total is thread-seconds) and the
-/// merge reduction charges [`Phase::Merge`].
-pub fn run_chunked_timed<F>(
-    mut seed: F,
-    records: &[TraceRecord],
-    threads: usize,
-    timers: &PhaseTimers,
-) -> F::Output
-where
-    F: TraceFold + Send,
-{
-    fold_chunked_into(&mut seed, records, threads, timers);
-    seed.finish()
-}
-
-/// The non-finishing core of [`run_chunked_timed`]: chunk-parallel-folds
-/// `records` and merges the result into `seed`, leaving it open for more
-/// records. By the merge law, calling this once per contiguous piece of a
-/// sorted stream (in order) and finishing at the end equals one serial pass
-/// over the whole stream — which is what lets the off-disk path fold a
-/// month day by day without ever materializing it.
+/// partials in chunk order and merges the result into `seed`, leaving it
+/// open for more records. By the merge law, calling this once per
+/// contiguous piece of a sorted stream (in order) and finishing at the end
+/// equals [`run_fold`] over the whole stream at every thread count — which
+/// is what lets the off-disk path fold a month day by day without ever
+/// materializing it.
+///
+/// Chunk folds charge [`Phase::Fold`] (per worker, so the total is
+/// thread-seconds) and the merge reduction charges [`Phase::Merge`].
 pub fn fold_chunked_into<F>(
     seed: &mut F,
     records: &[TraceRecord],
@@ -462,23 +439,17 @@ pub fn run_all(records: &[TraceRecord], cfg: &EngineConfig) -> EngineReport {
     run_fold(Battery::new(cfg), records)
 }
 
-/// One chunk-parallel pass over the trace, all analyses at once.
+/// One chunk-parallel pass over the trace, all analyses at once. Callers
+/// that want the fold and merge times call [`fold_chunked_into`] on a
+/// [`Battery`] and finish it themselves.
 pub fn run_all_chunked(
     records: &[TraceRecord],
     cfg: &EngineConfig,
     threads: usize,
 ) -> EngineReport {
-    run_chunked(Battery::new(cfg), records, threads)
-}
-
-/// [`run_all_chunked`] with phase accounting (see [`run_chunked_timed`]).
-pub fn run_all_chunked_timed(
-    records: &[TraceRecord],
-    cfg: &EngineConfig,
-    threads: usize,
-    timers: &PhaseTimers,
-) -> EngineReport {
-    run_chunked_timed(Battery::new(cfg), records, threads, timers)
+    let mut battery = Battery::new(cfg);
+    fold_chunked_into(&mut battery, records, threads, &PhaseTimers::new());
+    battery.finish()
 }
 
 /// What the off-disk pass saw, alongside its report.
@@ -502,23 +473,16 @@ pub struct OffDiskStats {
 /// canonical record sequence and, by the merge law, the report equals
 /// [`run_all`] over the fully materialized trace bit for bit — while peak
 /// memory stays at one day's records.
+///
+/// Callers that want phase times run the same loop themselves:
+/// `DayChunks::phases` has the parse and sort times after the drain, and
+/// [`fold_chunked_into`] charges fold and merge times to their own bank.
 pub fn run_all_offdisk(
     dir: &std::path::Path,
     cfg: &EngineConfig,
     threads: usize,
 ) -> std::io::Result<(EngineReport, OffDiskStats)> {
-    run_all_offdisk_timed(dir, cfg, threads, &PhaseTimers::new())
-}
-
-/// [`run_all_offdisk`] with phase accounting: day parses charge
-/// `Phase::Parse`/`Phase::Sort` inside the reader, folds and merges charge
-/// [`Phase::Fold`]/[`Phase::Merge`] as usual.
-pub fn run_all_offdisk_timed(
-    dir: &std::path::Path,
-    cfg: &EngineConfig,
-    threads: usize,
-    timers: &PhaseTimers,
-) -> std::io::Result<(EngineReport, OffDiskStats)> {
+    let timers = PhaseTimers::new();
     let mut chunks = u1_trace::LogDirReader::new(dir).day_chunks(threads)?;
     let mut parse = u1_trace::ParseStats {
         skipped_files: chunks.skipped_files(),
@@ -527,12 +491,12 @@ pub fn run_all_offdisk_timed(
     let mut seed = Battery::new(cfg);
     let mut days = 0usize;
     let mut peak_chunk_records = 0usize;
-    while let Some(chunk) = chunks.next_day_timed(timers) {
+    while let Some(chunk) = chunks.next_day() {
         let chunk = chunk?;
         parse.absorb(&chunk.stats);
         days += 1;
         peak_chunk_records = peak_chunk_records.max(chunk.records.len());
-        fold_chunked_into(&mut seed, &chunk.records, threads, timers);
+        fold_chunked_into(&mut seed, &chunk.records, threads, &timers);
     }
     Ok((
         seed.finish(),

@@ -5,27 +5,6 @@ use serde::Serialize;
 use u1_core::{ApiOpKind, FxHashMap, FxHashSet, SimDuration, SimTime};
 use u1_trace::{Payload, SessionEvent, TraceRecord};
 
-/// Sums `weight(record)` into fixed-width bins covering `[0, horizon)`.
-pub fn bin_sum(
-    records: &[TraceRecord],
-    horizon: SimTime,
-    bin: SimDuration,
-    mut weight: impl FnMut(&TraceRecord) -> Option<f64>,
-) -> Vec<f64> {
-    assert!(bin.as_micros() > 0);
-    let bins = horizon.as_micros().div_ceil(bin.as_micros()) as usize;
-    let mut out = vec![0.0; bins.max(1)];
-    for rec in records {
-        if rec.t >= horizon {
-            continue;
-        }
-        if let Some(w) = weight(rec) {
-            out[rec.t.bin_index(bin) as usize] += w;
-        }
-    }
-    out
-}
-
 /// Fig. 2(a): upload/download GBytes per hour.
 #[derive(Debug, Clone, Serialize)]
 pub struct TrafficSeries {

@@ -1,123 +1,29 @@
-//! Analytics benchmark: the Table-3/figure battery over the bench trace in
-//! both modes — the legacy per-analyzer multi-pass sequence (exactly the
-//! calls the pre-streaming `exp_all` harness made, duplicates included)
-//! against ONE streaming [`u1_analytics::engine::run_all`] pass — plus the
-//! chunk-parallel pass at several thread counts and the logfile parse path
-//! (serial vs parallel `LogDirReader`).
+//! Analytics benchmark: the Table-3/figure battery over the bench trace as
+//! one streaming [`u1_analytics::engine::run_all`] pass, the chunk-parallel
+//! pass at several thread counts, and the logfile parse path (the serial
+//! `LogDirReader::read_all` against draining `LogDirReader::day_chunks`).
 //!
-//! Writes `BENCH_analytics.json` with wall times, records/sec, the
-//! before/after record-pass counts, parse throughput and thread scaling,
-//! and cross-checks that every mode produces the identical analysis
-//! (scalar outputs compared bit-for-bit).
+//! Writes `BENCH_analytics.json` with wall times, records/sec, parse
+//! throughput and thread scaling, and cross-checks that every mode produces
+//! the identical analysis (scalar outputs compared bit-for-bit) and the
+//! identical parsed records.
 //!
 //! Environment overrides: `U1_USERS`, `U1_DAYS`, `U1_SEED`, `U1_ATTACKS=0`
 //! (same as the experiment harness), plus `U1_BENCH_THREADS` as a
 //! comma-separated list of chunk-parallel thread counts (default `1,2,4,8`).
 
 use serde_json::json;
-use std::hint::black_box;
 use std::time::Instant;
-use u1_analytics as ana;
 use u1_analytics::engine::{
-    host_clamped, plan_chunk_count, run_all, run_all_chunked_timed, EngineConfig,
+    fold_chunked_into, host_clamped, plan_chunk_count, run_all, Battery, TraceFold,
 };
-use u1_bench::{Fingerprint, Scenario};
+use u1_bench::Fingerprint;
 use u1_core::timing::{Phase, PhaseTimers};
-use u1_core::ApiOpKind;
 use u1_trace::logfile::LogDirReader;
-use u1_trace::{DirSink, TraceSink};
+use u1_trace::{DirSink, ParseStats, TraceSink};
 
 #[global_allocator]
 static ALLOC: u1_bench::mem::CountingAlloc = u1_bench::mem::CountingAlloc;
-
-/// Replays the pre-streaming `exp_all` analyzer sequence: one full record
-/// pass per call, duplicated calls included (f3a/f3b both ran
-/// `dependency_analysis`, Table 1 re-ran most of the battery, …). Returns
-/// the pass count and the legacy-path fingerprint.
-fn legacy_battery(scn: &Scenario, cfg: &EngineConfig) -> (usize, Fingerprint) {
-    let records = &scn.records;
-    let horizon = scn.horizon;
-    let exts: Vec<&str> = cfg.exts.iter().map(String::as_str).collect();
-    let mut passes = 0usize;
-    let mut pass = |n: usize| passes += n;
-
-    // t3
-    let summary = ana::summary::trace_summary(records, horizon);
-    pass(1);
-    // f2a
-    black_box(ana::timeseries::traffic_per_hour(records, horizon));
-    black_box(ana::storage::upload_diurnal_swing(records, horizon));
-    pass(2);
-    // f2b, f2c
-    black_box(ana::storage::size_category_shares(records));
-    black_box(ana::storage::rw_ratio(records, horizon));
-    pass(2);
-    // f3a, f3b (both called dependency_analysis), f3c
-    let deps = ana::dependencies::dependency_analysis(records);
-    black_box(ana::dependencies::dependency_analysis(records));
-    let lifetimes = ana::dependencies::lifetime_analysis(records);
-    pass(3);
-    // f4a, f4b, f4c
-    let dedup = ana::dedup::dedup_analysis(records);
-    black_box(ana::storage::size_by_extension(records, &exts));
-    black_box(ana::storage::taxonomy_shares(records));
-    pass(3);
-    // f5
-    let ddos = ana::ddos::detect(records, horizon, &cfg.ddos);
-    pass(1);
-    // f6, f7a, f7b, f7c (7b and 7c both ran traffic_inequality)
-    black_box(ana::users::active_online_summary(records, horizon));
-    black_box(ana::users::op_mix(records));
-    let ineq = ana::users::traffic_inequality(records);
-    black_box(ana::users::traffic_inequality(records));
-    pass(4);
-    // f8, f9
-    let markov = ana::markov::transition_graph(records);
-    let burst_up = ana::burstiness::burstiness(records, ApiOpKind::Upload);
-    black_box(ana::burstiness::burstiness(records, ApiOpKind::Unlink));
-    pass(3);
-    // f12, f13 (both ran rpc_analysis), f14, f15, f16
-    let rpc = ana::rpc::rpc_analysis(records);
-    black_box(ana::rpc::rpc_analysis(records));
-    let lb = ana::rpc::load_balance(records, horizon, cfg.machines, cfg.shards, cfg.lb_minutes);
-    let auth = ana::sessions::auth_activity(records, horizon);
-    let sessions = ana::sessions::session_analysis(records);
-    pass(5);
-    // t1 re-ran most of the battery
-    black_box(ana::storage::size_by_extension(records, &[]));
-    let updates = ana::storage::update_analysis(records);
-    black_box(ana::dedup::dedup_analysis(records));
-    black_box(ana::ddos::detect(records, horizon, &cfg.ddos));
-    black_box(ana::users::traffic_inequality(records));
-    black_box(ana::sessions::session_analysis(records));
-    black_box(ana::burstiness::burstiness(records, ApiOpKind::Upload));
-    black_box(ana::rpc::rpc_analysis(records));
-    black_box(ana::sessions::auth_activity(records, horizon));
-    pass(9);
-    // ablations
-    black_box(ana::dedup::dedup_analysis(records));
-    black_box(ana::storage::update_analysis(records));
-    pass(2);
-
-    let fp = Fingerprint {
-        records: summary.records,
-        unique_files: summary.unique_files,
-        dedup_ratio: dedup.dedup_ratio.to_bits(),
-        update_traffic_fraction: updates.update_traffic_fraction.to_bits(),
-        transitions: markov.total_transitions,
-        upload_gini: ineq.upload_lorenz.gini.to_bits(),
-        sessions: sessions.sessions,
-        active_fraction: sessions.active_fraction.to_bits(),
-        ddos_episodes: ddos.episodes.len(),
-        rpc_profiles: rpc.profiles.len(),
-        shard_longrun_cv: lb.shard_longrun_cv.to_bits(),
-        auth_failure_fraction: auth.auth_failure_fraction.to_bits(),
-        waw_under_1h: deps.waw_under_1h.to_bits(),
-        file_mortality: lifetimes.file_mortality.to_bits(),
-        upload_cv: burst_up.cv.to_bits(),
-    };
-    (passes, fp)
-}
 
 fn dir_bytes(dir: &std::path::Path) -> u64 {
     std::fs::read_dir(dir)
@@ -155,16 +61,6 @@ fn main() {
         .map(|w| w.trim().parse().expect("U1_BENCH_THREADS must be integers"))
         .collect();
 
-    // Legacy multi-pass battery.
-    let started = Instant::now();
-    let (legacy_passes, legacy_fp) = legacy_battery(&scenario, &cfg);
-    let legacy_secs = started.elapsed().as_secs_f64();
-    eprintln!(
-        "[analytics] legacy battery: {legacy_passes} record passes, {legacy_secs:.2}s \
-         ({:.0} records/s effective)",
-        n as f64 / legacy_secs
-    );
-
     // Streaming single pass.
     let started = Instant::now();
     let report = run_all(records, &cfg);
@@ -175,10 +71,6 @@ fn main() {
          ({:.0} records/s)",
         n as f64 / streaming_secs
     );
-    assert_eq!(
-        streaming_fp, legacy_fp,
-        "streaming battery disagrees with the legacy per-analyzer battery"
-    );
 
     // Chunk-parallel scaling, with per-phase accounting (fold thread-seconds
     // vs merge seconds — merge is the serial tail the tree merge shrinks).
@@ -186,7 +78,9 @@ fn main() {
     for &threads in &thread_counts {
         let timers = PhaseTimers::new();
         let started = Instant::now();
-        let chunked = run_all_chunked_timed(records, &cfg, threads, &timers);
+        let mut battery = Battery::new(&cfg);
+        fold_chunked_into(&mut battery, records, threads, &timers);
+        let chunked = battery.finish();
         let secs = started.elapsed().as_secs_f64();
         assert_eq!(
             Fingerprint::of(&chunked),
@@ -208,7 +102,7 @@ fn main() {
     }
 
     // Logfile parse path: dump the trace as per-(machine, process, day)
-    // logfiles, then read it back serially and in parallel.
+    // logfiles, then read it back serially and day by day in parallel.
     let log_dir = u1_bench::out_dir().join("bench-analytics-logs");
     let _ = std::fs::remove_dir_all(&log_dir);
     let sink = DirSink::create(&log_dir).expect("create log dir");
@@ -226,12 +120,20 @@ fn main() {
     let (serial_records, serial_stats) = reader.read_all().expect("serial read");
     let parse_serial_secs = started.elapsed().as_secs_f64();
     let parse_threads = thread_counts.iter().copied().max().unwrap_or(1);
-    let parse_timers = PhaseTimers::new();
     let started = Instant::now();
-    let (par_records, par_stats) = reader
-        .read_all_parallel_timed(parse_threads, &parse_timers)
-        .expect("parallel read");
+    let mut chunks = reader.day_chunks(parse_threads).expect("day chunks");
+    let mut par_records = Vec::with_capacity(n);
+    let mut par_stats = ParseStats {
+        skipped_files: chunks.skipped_files(),
+        ..ParseStats::default()
+    };
+    while let Some(chunk) = chunks.next_day() {
+        let chunk = chunk.expect("read day chunk");
+        par_stats.absorb(&chunk.stats);
+        par_records.extend(chunk.records);
+    }
     let parse_parallel_secs = started.elapsed().as_secs_f64();
+    let parse_phases = chunks.phases();
     assert_eq!(par_stats, serial_stats, "parallel parse stats differ");
     assert_eq!(par_records, serial_records, "parallel parse records differ");
     assert_eq!(serial_stats.parsed, n, "parse round-trip lost records");
@@ -246,7 +148,6 @@ fn main() {
         parse_serial_secs / parse_parallel_secs,
     );
 
-    let speedup = legacy_secs / streaming_secs;
     let mut human = String::new();
     human.push_str(&format!(
         "{} users x {} days (seed {:#x}), {} trace records\n",
@@ -266,8 +167,7 @@ fn main() {
         u1_core::ByteSize(u1_bench::mem::alloc_peak_bytes()),
     ));
     human.push_str(&format!(
-        "legacy battery     {legacy_passes:>3} passes  {legacy_secs:>7.2}s\n\
-         streaming battery    1 pass    {streaming_secs:>7.2}s  {speedup:>5.2}x faster\n"
+        "streaming battery    1 pass    {streaming_secs:>7.2}s\n"
     ));
     for &(threads, secs, fold_nanos, merge_nanos) in &scaling {
         human.push_str(&format!(
@@ -279,7 +179,7 @@ fn main() {
         ));
     }
     human.push_str(&format!(
-        "parse: serial {parse_serial_secs:.2}s, parallel x{parse_threads} {parse_parallel_secs:.2}s \
+        "parse: serial {parse_serial_secs:.2}s, day chunks x{parse_threads} {parse_parallel_secs:.2}s \
          over {:.1} MB in {} files\n",
         trace_bytes as f64 / 1e6,
         serial_stats.files,
@@ -300,12 +200,9 @@ fn main() {
             "alloc_peak_bytes": u1_bench::mem::alloc_peak_bytes(),
             "trace_records": n,
             "battery": {
-                "legacy_record_passes": legacy_passes,
                 "streaming_record_passes": 1,
-                "legacy_wall_secs": legacy_secs,
                 "streaming_wall_secs": streaming_secs,
                 "streaming_records_per_sec": n as f64 / streaming_secs,
-                "speedup_single_pass_vs_multi_pass": speedup,
                 "outputs_identical": true,
             },
             "thread_scaling": scaling
@@ -333,8 +230,8 @@ fn main() {
                 "serial_mb_per_sec": trace_bytes as f64 / 1e6 / parse_serial_secs,
                 "parallel_speedup": parse_serial_secs / parse_parallel_secs,
                 "parallel_identical": true,
-                "parse_thread_nanos": parse_timers.get(Phase::Parse),
-                "sort_nanos": parse_timers.get(Phase::Sort),
+                "parse_thread_nanos": parse_phases.parse_nanos,
+                "sort_nanos": parse_phases.sort_nanos,
             },
         }),
     );

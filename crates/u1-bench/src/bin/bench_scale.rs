@@ -30,13 +30,11 @@
 
 use serde_json::json;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::io::Read as _;
 use std::path::Path;
 use std::time::Instant;
 use u1_bench::{mem, Fingerprint};
-use u1_core::Sha1;
-use u1_trace::LogDirReader;
+use u1_trace::{trace_hash, LogDirReader, TraceHasher};
 use u1_workload::WorkloadConfig;
 
 #[global_allocator]
@@ -63,18 +61,6 @@ fn analytics_threads() -> usize {
 /// One protocol line on stdout; everything human goes to stderr.
 fn put(key: &str, value: impl std::fmt::Display) {
     println!("scale.{key}={value}");
-}
-
-/// SHA-1 over the canonical trace in `(t, origin, seq)` order — the same
-/// formula as `bench_throughput` and the driver golden test.
-fn sha_of_records(sha: &mut Sha1, records: &[u1_trace::TraceRecord]) {
-    let mut line = String::with_capacity(160);
-    for r in records {
-        line.clear();
-        let _ = u1_trace::csvline::write_line(r, &mut line);
-        let _ = writeln!(line, "|{}|{}", r.origin, r.seq);
-        sha.update(line.as_bytes());
-    }
 }
 
 fn dir_bytes(dir: &Path) -> u64 {
@@ -123,7 +109,7 @@ fn run_streamed_tier(users: u64) {
     );
 
     let started = Instant::now();
-    let mut sha = Sha1::new();
+    let mut sha = TraceHasher::new();
     let mut chunks = LogDirReader::new(&dir)
         .day_chunks(threads)
         .expect("day chunks");
@@ -131,7 +117,7 @@ fn run_streamed_tier(users: u64) {
     while let Some(chunk) = chunks.next_day() {
         let chunk = chunk.expect("read day chunk");
         records += chunk.records.len() as u64;
-        sha_of_records(&mut sha, &chunk.records);
+        sha.update(&chunk.records);
     }
     let sha_secs = started.elapsed().as_secs_f64();
     assert_eq!(records, report.summary.records, "SHA pass lost records");
@@ -150,7 +136,7 @@ fn run_streamed_tier(users: u64) {
     put("days", stats.days);
     put("peak_chunk_records", stats.peak_chunk_records);
     put("fingerprint", Fingerprint::of(&report).to_line());
-    put("sha", sha.finalize().to_hex());
+    put("sha", sha.finish());
     put("peak_rss_bytes", mem::peak_rss_bytes().unwrap_or(0));
     put("alloc_peak_bytes", mem::alloc_peak_bytes());
 }
@@ -170,14 +156,12 @@ fn run_inmemory_tier(users: u64) {
     );
 
     let ecfg = u1_bench::engine_config(&scn);
-    let timers = u1_core::timing::PhaseTimers::new();
     let started = Instant::now();
-    let report = u1_analytics::engine::run_all_chunked_timed(&scn.records, &ecfg, threads, &timers);
+    let report = u1_analytics::engine::run_all_chunked(&scn.records, &ecfg, threads);
     let analytics_secs = started.elapsed().as_secs_f64();
 
     let started = Instant::now();
-    let mut sha = Sha1::new();
-    sha_of_records(&mut sha, &scn.records);
+    let sha = trace_hash(&scn.records);
     let sha_secs = started.elapsed().as_secs_f64();
 
     put("mode", "inmemory");
@@ -187,7 +171,7 @@ fn run_inmemory_tier(users: u64) {
     put("analytics_secs", format!("{analytics_secs:.6}"));
     put("sha_secs", format!("{sha_secs:.6}"));
     put("fingerprint", Fingerprint::of(&report).to_line());
-    put("sha", sha.finalize().to_hex());
+    put("sha", sha);
     put("peak_rss_bytes", mem::peak_rss_bytes().unwrap_or(0));
     put("alloc_peak_bytes", mem::alloc_peak_bytes());
 }

@@ -25,13 +25,12 @@
 //! trace at every worker count.
 
 use serde_json::json;
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 use u1_core::fault::FaultPlan;
-use u1_core::{Sha1, SimClock, SimDuration};
+use u1_core::{SimClock, SimDuration};
 use u1_server::{Backend, BackendConfig};
-use u1_trace::{csvline, MemorySink, TraceRecord};
+use u1_trace::MemorySink;
 use u1_workload::{Driver, DriverReport, WorkloadConfig};
 
 #[global_allocator]
@@ -45,21 +44,6 @@ struct Run {
     records: u64,
     trace_hash: String,
     report: DriverReport,
-}
-
-/// SHA-1 over the canonical trace: every record serialized with
-/// [`csvline::write_line`] plus its `(origin, seq)` stamp, in
-/// `take_sorted` order. Same formula as the golden test in u1-workload.
-fn canonical_trace_hash(records: &[TraceRecord]) -> String {
-    let mut sha = Sha1::new();
-    let mut line = String::with_capacity(160);
-    for r in records {
-        line.clear();
-        let _ = csvline::write_line(r, &mut line);
-        let _ = writeln!(line, "|{}|{}", r.origin, r.seq);
-        sha.update(line.as_bytes());
-    }
-    sha.finalize().to_hex()
 }
 
 fn run_once(
@@ -94,7 +78,7 @@ fn run_once(
         wall_secs,
         ops: report.ops_executed + report.attack_ops,
         records: records.len() as u64,
-        trace_hash: canonical_trace_hash(&records),
+        trace_hash: u1_trace::trace_hash(&records),
         report,
     }
 }

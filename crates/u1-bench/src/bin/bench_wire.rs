@@ -31,24 +31,10 @@ use std::sync::Arc;
 use std::time::Instant;
 use u1_auth::AuthConfig;
 use u1_client::{DirectTransport, TcpTransport};
-use u1_core::{RealClock, Sha1, SimClock, UserId};
+use u1_core::{RealClock, SimClock, UserId};
 use u1_server::{Backend, BackendConfig, ReactorConfig, TcpServer};
-use u1_trace::{csvline, MemorySink, TraceRecord};
+use u1_trace::{trace_hash, MemorySink};
 use u1_workload::{fleet, FleetConfig, FleetReport};
-
-/// Same canonicalization as `bench_throughput`: every line plus its
-/// `(origin, seq)` stamp, in `take_sorted()` order.
-fn canonical_trace_hash(records: &[TraceRecord]) -> String {
-    let mut sha = Sha1::new();
-    let mut line = String::with_capacity(160);
-    for r in records {
-        line.clear();
-        let _ = csvline::write_line(r, &mut line);
-        let _ = writeln!(line, "|{}|{}", r.origin, r.seq);
-        sha.update(line.as_bytes());
-    }
-    sha.finalize().to_hex()
-}
 
 fn fleet_backend_cfg() -> BackendConfig {
     BackendConfig {
@@ -80,7 +66,7 @@ fn run_direct(cfg: &FleetConfig) -> (FleetReport, String, u64) {
     });
     let records = sink.take_sorted();
     let n = records.len() as u64;
-    (report, canonical_trace_hash(&records), n)
+    (report, trace_hash(&records), n)
 }
 
 fn run_wire(cfg: &FleetConfig) -> (FleetReport, String, u64) {
@@ -112,7 +98,7 @@ fn run_wire(cfg: &FleetConfig) -> (FleetReport, String, u64) {
     assert_eq!(refused, 0, "the parity run's reactor throttled sessions");
     let records = sink.take_sorted();
     let n = records.len() as u64;
-    (report, canonical_trace_hash(&records), n)
+    (report, trace_hash(&records), n)
 }
 
 /// Nearest-rank percentile over an ascending-sorted sample set.

@@ -5,7 +5,8 @@
 //! ≥ 4-core host):
 //!
 //! * driver replay (`Driver::run` at `workers = 4`)      — ≥ 2.5x
-//! * logfile parse (`LogDirReader::read_all_parallel`)   — ≥ 1.8x
+//! * logfile parse (draining `LogDirReader::day_chunks(4)`
+//!   against the serial `read_all`)                      — ≥ 1.8x
 //! * chunked analytics (`run_all_chunked` at 4 threads)  — ≥ 2.5x
 //!
 //! Measures in-process (best-of-`U1_GATE_REPS`, default 2, to absorb
@@ -109,7 +110,8 @@ fn main() {
         backend_defaults.store.shards as usize,
     );
 
-    // Logfile parse: serial vs byte-range parallel over the dumped trace.
+    // Logfile parse: the serial reader vs draining the day reader over the
+    // dumped trace.
     let log_dir = u1_bench::out_dir().join("scaling-gate-logs");
     let _ = std::fs::remove_dir_all(&log_dir);
     let sink = DirSink::create(&log_dir).expect("create log dir");
@@ -123,7 +125,10 @@ fn main() {
         std::hint::black_box(reader.read_all().expect("serial read"));
     });
     let parse_parallel = best_of(reps, || {
-        std::hint::black_box(reader.read_all_parallel(4).expect("parallel read"));
+        let mut chunks = reader.day_chunks(4).expect("day chunks");
+        while let Some(chunk) = chunks.next_day() {
+            std::hint::black_box(chunk.expect("read day chunk"));
+        }
     });
     let _ = std::fs::remove_dir_all(&log_dir);
     let parse_speedup = parse_serial / parse_parallel;

@@ -11,9 +11,9 @@ use std::sync::{Arc, OnceLock};
 use u1_analytics::engine::{run_all, run_all_offdisk};
 use u1_bench::scenario::{run_scenario_streamed, StreamedScenario};
 use u1_bench::{run_scenario, Scenario};
-use u1_core::{Sha1, SimClock};
+use u1_core::SimClock;
 use u1_server::{Backend, BackendConfig};
-use u1_trace::{DirSink, LogDirReader, TraceRecord};
+use u1_trace::{trace_hash, DirSink, LogDirReader, TraceRecord};
 use u1_workload::{Driver, WorkloadConfig};
 
 /// The exact workload of the driver's golden test, whose canonical trace
@@ -30,17 +30,6 @@ fn golden_cfg(workers: usize) -> WorkloadConfig {
 }
 
 const GOLDEN_SHA: &str = "78be5180fee062f073b8838c0cb695e681de3f1b";
-
-/// SHA-1 over every canonical line plus its `(origin, seq)` stamp — the
-/// same digest the driver golden test computes.
-fn canonical_sha(records: &[TraceRecord]) -> String {
-    let mut buf = String::new();
-    for r in records {
-        buf.push_str(&u1_trace::csvline::to_line(r));
-        buf.push_str(&format!("|{}|{}\n", r.origin, r.seq));
-    }
-    Sha1::digest(buf.as_bytes()).to_hex()
-}
 
 fn in_memory() -> &'static Scenario {
     static SCN: OnceLock<Scenario> = OnceLock::new();
@@ -76,7 +65,7 @@ fn read_back_canonical(dir: &std::path::Path) -> Vec<TraceRecord> {
 #[test]
 fn streamed_trace_matches_in_memory_trace() {
     let mem = in_memory();
-    let mem_sha = canonical_sha(&mem.records);
+    let mem_sha = trace_hash(&mem.records);
     for workers in [0usize, 3] {
         let (scn, dir) = streamed(workers, "sha");
         assert_eq!(
@@ -87,7 +76,7 @@ fn streamed_trace_matches_in_memory_trace() {
         let records = read_back_canonical(&dir);
         assert_eq!(records.len(), mem.records.len());
         assert_eq!(
-            canonical_sha(&records),
+            trace_hash(&records),
             mem_sha,
             "streamed canonical trace diverged at workers={workers}"
         );
@@ -117,7 +106,7 @@ fn streamed_mode_reproduces_driver_golden_sha() {
         let records = read_back_canonical(&dir);
         assert_eq!(records.len(), 8184);
         assert_eq!(
-            canonical_sha(&records),
+            trace_hash(&records),
             GOLDEN_SHA,
             "golden SHA diverged at workers={workers}"
         );

@@ -1,13 +1,12 @@
 //! Client transports: the same operations over two very different paths.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use u1_auth::Token;
 use u1_core::{ContentHash, CoreError, CoreResult, NodeId, NodeKind, SessionId, UserId, VolumeId};
 use u1_proto::conn::{ClientConn, ClientEvent};
 use u1_proto::msg::{NodeInfo, Push, Request, Response, VolumeInfo};
-use u1_proto::tcp;
 use u1_server::api::UploadOutcome;
 use u1_server::Backend;
 
@@ -84,8 +83,6 @@ pub struct DirectTransport {
     backend: Arc<Backend>,
     session: Option<SessionId>,
     push_rx: Option<crossbeam::channel::Receiver<Push>>,
-    /// Register for pushes? Cold clients (crashed/quiet) may skip it.
-    subscribe_pushes: bool,
 }
 
 impl DirectTransport {
@@ -94,15 +91,7 @@ impl DirectTransport {
             backend,
             session: None,
             push_rx: None,
-            subscribe_pushes: true,
         }
-    }
-
-    /// Disables push subscription (for modeling clients that never receive
-    /// notifications).
-    pub fn without_pushes(mut self) -> Self {
-        self.subscribe_pushes = false;
-        self
     }
 
     fn sid(&self) -> CoreResult<SessionId> {
@@ -114,11 +103,9 @@ impl DirectTransport {
 impl Transport for DirectTransport {
     fn authenticate(&mut self, token: Token) -> CoreResult<(SessionId, UserId)> {
         let h = self.backend.open_session(token)?;
-        if self.subscribe_pushes {
-            let (tx, rx) = crossbeam::channel::unbounded();
-            self.backend.push_router.register(h.session, tx);
-            self.push_rx = Some(rx);
-        }
+        let (tx, rx) = crossbeam::channel::unbounded();
+        self.backend.push_router.register(h.session, tx);
+        self.push_rx = Some(rx);
         self.session = Some(h.session);
         Ok((h.session, h.user))
     }
@@ -276,7 +263,7 @@ pub struct TcpTransport {
 impl TcpTransport {
     pub fn connect(addr: std::net::SocketAddr) -> std::io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
-        tcp::configure(&stream)?;
+        stream.set_nodelay(true)?;
         Ok(Self {
             stream,
             conn: ClientConn::new(),
@@ -311,7 +298,9 @@ impl TcpTransport {
             .map_err(|e| CoreError::unavailable(format!("send: {e}")))?;
         let mut responses = Vec::new();
         loop {
-            let n = tcp::read_some(&mut self.stream, &mut self.buf)
+            let n = self
+                .stream
+                .read(&mut self.buf)
                 .map_err(|e| CoreError::unavailable(format!("recv: {e}")))?;
             if n == 0 {
                 return Err(CoreError::unavailable("connection closed"));
@@ -604,7 +593,7 @@ impl Transport for TcpTransport {
         // Opportunistically read anything already buffered on the socket.
         let _ = self.stream.set_nonblocking(true);
         loop {
-            match std::io::Read::read(&mut self.stream, &mut self.buf) {
+            match self.stream.read(&mut self.buf) {
                 Ok(0) => break,
                 Ok(n) => {
                     if let Ok(events) = self.conn.on_bytes(&self.buf[..n]) {

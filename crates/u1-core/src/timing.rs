@@ -4,7 +4,7 @@
 //! wall-clock go?" without perturbing the thing being measured. This module
 //! provides:
 //!
-//! * [`Phase`] — the closed set of phases the driver, the parallel logfile
+//! * [`Phase`] — the closed set of phases the driver, the day logfile
 //!   reader and the chunked analytics engine account time against,
 //! * [`PhaseTimers`] — a bank of cache-line-padded atomic nanosecond
 //!   counters, shared by reference across worker threads (relaxed ordering:
@@ -30,7 +30,7 @@ use serde::Serialize;
 
 /// Phases the parallel paths account time against.
 ///
-/// The driver uses the first four; the parallel logfile reader uses
+/// The driver uses the first four; the day reader (`DayChunks`) uses
 /// [`Phase::Parse`] and [`Phase::Sort`]; the chunked analytics engine uses
 /// [`Phase::Fold`] and [`Phase::Merge`]; the wire tier's reactor thread
 /// (DESIGN.md §15) splits its loop across the four `Net*` phases.
@@ -49,8 +49,7 @@ pub enum Phase {
     /// reader's per-range sort of its own records on the parse worker.
     Parse,
     /// Putting parse output into its final order: the day reader merging
-    /// its sorted runs into canonical order, or `read_all_parallel`'s
-    /// timestamp sort.
+    /// its sorted runs into canonical order.
     Sort,
     /// Feeding records through fold partials (chunk bodies).
     Fold,

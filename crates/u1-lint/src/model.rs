@@ -15,10 +15,6 @@ pub struct Span {
 }
 
 impl Span {
-    pub fn contains_line(&self, line: usize) -> bool {
-        (self.first_line..=self.last_line).contains(&line)
-    }
-
     pub fn contains_tok(&self, idx: usize) -> bool {
         (self.first_tok..=self.last_tok).contains(&idx)
     }

@@ -4,7 +4,7 @@
 //! write come out as [`bytes::Bytes`]. This keeps the protocol logic —
 //! request/response correlation, authentication gating, stream bookkeeping —
 //! fully unit-testable, and lets the same state machines drive the real TCP
-//! transport ([`crate::tcp`]), the epoll reactor
+//! client transport (`u1_client::TcpTransport`), the epoll reactor
 //! (`u1_server::tcpserver`), and the virtual-time simulation.
 //!
 //! A full exchange, with the "socket" replaced by byte slices:

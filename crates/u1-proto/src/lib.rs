@@ -18,15 +18,13 @@
 //! * [`conn`] — client/server connection state machines (handshake,
 //!   request/response correlation, in-flight upload bookkeeping),
 //! * [`nio`] — nonblocking read/write helpers ([`SendQueue`] with a
-//!   partial-write cursor, [`nio::read_once`]) for the epoll reactor,
-//! * [`tcp`] — a small blocking transport binding frames to `std::net`.
+//!   partial-write cursor, [`nio::read_once`]) for the epoll reactor.
 
 pub mod codec;
 pub mod conn;
 pub mod frame;
 pub mod msg;
 pub mod nio;
-pub mod tcp;
 pub mod wire;
 
 pub use conn::{ClientConn, ConnError, ServerConn, ServerEvent};

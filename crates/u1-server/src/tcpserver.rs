@@ -41,7 +41,6 @@ use u1_net::{Interest, Poller};
 use u1_proto::conn::{ServerConn, ServerEvent};
 use u1_proto::msg::{Push, Request, RequestId, Response};
 use u1_proto::nio::{read_once, ReadOutcome, SendQueue};
-use u1_proto::tcp;
 
 /// Maximum bytes per ContentChunk response.
 const DOWNLOAD_CHUNK: usize = 256 * 1024;
@@ -364,7 +363,7 @@ impl Reactor {
             if stream.set_nonblocking(true).is_err() {
                 continue;
             }
-            let _ = tcp::configure(&stream);
+            let _ = stream.set_nodelay(true);
             let token = self.next_token;
             self.next_token += 1;
             if self

@@ -24,6 +24,7 @@ mod merge;
 pub mod sink;
 
 pub use anonymize::Anonymizer;
+pub use csvline::{trace_hash, TraceHasher};
 pub use event::{Payload, SessionEvent, TraceRecord};
 pub use logfile::{
     logfile_name, parse_logfile_name, DayChunk, DayChunks, LogDirReader, ParseStats,

@@ -6,14 +6,17 @@
 //! ~1% of lines may fail to parse and are skipped (and counted). A line
 //! that is not UTF-8 is one of those malformed lines, never a read error.
 //!
-//! Every reader parses *byte ranges aligned to line boundaries*: a task
-//! reads its whole range with one read into a reused byte buffer,
-//! validates UTF-8 once for the range, splits lines there, and yields its
-//! own [`ParseStats`] so the parallel readers can sum them. [`LogDirReader::read_all_parallel`] splits files
-//! into ranges (pread-style: each task seeks into its own handle, so one
-//! big file no longer serializes the read on one task) and concatenates
-//! per-range output in `(file, range)` order, byte-identical to the serial
-//! [`LogDirReader::read_all`].
+//! There are two directory readers. [`LogDirReader::read_all`] is the
+//! serial reference: every file parsed in path order, then one stable sort
+//! by timestamp. [`LogDirReader::day_chunks`] is the parallel one the
+//! analyze pipeline runs, one day of the trace at a time.
+//!
+//! Both parse *byte ranges aligned to line boundaries*: a task reads its
+//! whole range with one read into a reused byte buffer, validates UTF-8
+//! once for the range, splits lines there, and yields its own
+//! [`ParseStats`] so the day reader can sum them. The day reader splits
+//! files into ranges pread-style (each task seeks into its own handle, so
+//! one big file does not serialize the read on one task).
 //!
 //! Range-split convention: a range `[start, end)` owns every line whose
 //! *first byte* lies in the range. A task with `start > 0` reads from
@@ -23,12 +26,11 @@
 //! therefore parsed exactly once no matter where the split points land —
 //! mid-line, on a boundary, or past EOF.
 //!
-//! The day reader ([`LogDirReader::day_chunks`]) leaves no serial sort on
-//! its path. Each range task stable-sorts its own records by
-//! `(t, origin, seq)` on the thread that parsed them, and
-//! [`DayChunks::next_day`] merges those sorted runs in parallel by key
-//! range, with ties broken on run index: the same records, in the same
-//! order, as a stable sort of the day's concatenated ranges.
+//! The day reader leaves no serial sort on its path. Each range task
+//! stable-sorts its own records by `(t, origin, seq)` on the thread that
+//! parsed them, and [`DayChunks::next_day`] merges those sorted runs in
+//! parallel by key range, with ties broken on run index: the same records,
+//! in the same order, as a stable sort of the day's concatenated ranges.
 
 use crate::csvline;
 use crate::event::TraceRecord;
@@ -38,7 +40,7 @@ use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use u1_core::timing::{saturating_nanos, Phase, PhaseTimers};
+use u1_core::timing::{saturating_nanos, Phase, PhaseNanos, PhaseTimers};
 use u1_core::{MachineId, ProcessId};
 
 /// Floor on planned range size: below this, per-task overhead (open, seek,
@@ -101,8 +103,7 @@ impl ParseStats {
         }
     }
 
-    /// Folds another file's (or directory shard's) counters into this one —
-    /// the merge used by the parallel reader.
+    /// Folds another file's (or byte range's) counters into this one.
     pub fn absorb(&mut self, other: &ParseStats) {
         self.files += other.files;
         self.lines += other.lines;
@@ -328,19 +329,6 @@ fn plan_ranges(sizes: &[u64], threads: usize) -> Vec<RangeTask> {
 /// A parsed logfile path with the origin and day encoded in its name.
 type LogfileEntry = (PathBuf, MachineId, ProcessId, u64);
 
-/// Reads the given logfiles serially, concatenating records in file order
-/// (no sort — callers pick their own ordering key).
-fn read_files(files: &[LogfileEntry]) -> std::io::Result<(Vec<TraceRecord>, ParseStats)> {
-    let mut stats = ParseStats::default();
-    let mut records = Vec::new();
-    for (path, machine, process, _day) in files {
-        let (recs, file_stats) = read_logfile(path, *machine, *process)?;
-        stats.absorb(&file_stats);
-        records.extend(recs);
-    }
-    Ok((records, stats))
-}
-
 /// Worker threads for `tasks` tasks planned for `threads` requested
 /// threads: tasks are planned for the REQUESTED count (so granularity and
 /// the range/merge logic are identical on every host), but the pool is
@@ -352,15 +340,14 @@ fn worker_count(threads: usize, tasks: usize) -> usize {
 
 /// Parses the given logfiles in planned byte ranges (see the module docs)
 /// claimed off a work-stealing cursor, and returns one run per range in
-/// `(file, range)` order plus the summed stats. Each run goes through
-/// `finish` on the thread that parsed it, and each worker reuses one byte
-/// buffer across its ranges. Worker thread-time, `finish` included, is
-/// charged to [`Phase::Parse`].
-fn read_runs(
+/// `(file, range)` order plus the summed stats. Each run is stable-sorted
+/// by `(t, origin, seq)` on the thread that parsed it, and each worker
+/// reuses one byte buffer across its ranges. Worker thread-time, the sorts
+/// included, is charged to [`Phase::Parse`].
+fn read_sorted_runs(
     files: &[LogfileEntry],
     threads: usize,
     timers: &PhaseTimers,
-    finish: fn(&mut Vec<TraceRecord>),
 ) -> std::io::Result<(Vec<Vec<TraceRecord>>, ParseStats)> {
     let sizes = files
         .iter()
@@ -386,7 +373,7 @@ fn read_runs(
                 let mut records = Vec::with_capacity((buf.len() - first) / 64);
                 let mut stats = ParseStats::default();
                 parse_lines(&buf[first..], *machine, *process, &mut records, &mut stats);
-                finish(&mut records);
+                records.sort_by_key(merge_key);
                 (records, stats)
             });
             if let Ok(mut slots) = slots.lock() {
@@ -465,53 +452,13 @@ impl LogDirReader {
             skipped_files,
             ..ParseStats::default()
         };
-        let (mut records, read_stats) = read_files(&files)?;
-        stats.absorb(&read_stats);
-        records.sort_by_key(|r| r.t);
-        Ok((records, stats))
-    }
-
-    /// [`Self::read_all`] parallelized over line-aligned byte ranges (see
-    /// the module docs for the split convention): every file is split into
-    /// ~equal byte ranges, tasks are claimed off an atomic cursor, and each
-    /// task seeks its own file handle — so one large file parallelizes
-    /// instead of serializing on a single per-file task. Per-range output
-    /// is concatenated in `(file, range)` order — the exact byte order of
-    /// the serial reader — and stable-sorted by timestamp, so records *and*
-    /// per-file stats are identical to `read_all` at every thread count.
-    pub fn read_all_parallel(
-        &self,
-        threads: usize,
-    ) -> std::io::Result<(Vec<TraceRecord>, ParseStats)> {
-        self.read_all_parallel_timed(threads, &PhaseTimers::new())
-    }
-
-    /// [`Self::read_all_parallel`], charging parse thread-time to
-    /// [`Phase::Parse`] and the final timestamp sort to [`Phase::Sort`] on the
-    /// given timer bank (how the bench JSONs get their per-phase blocks).
-    pub fn read_all_parallel_timed(
-        &self,
-        threads: usize,
-        timers: &PhaseTimers,
-    ) -> std::io::Result<(Vec<TraceRecord>, ParseStats)> {
-        let (files, skipped_files) = self.logfiles()?;
-        let threads = threads.max(1);
-        if threads <= 1 || files.is_empty() {
-            return self.read_all();
-        }
-        let mut stats = ParseStats {
-            skipped_files,
-            ..ParseStats::default()
-        };
-        let (runs, read_stats) = read_runs(&files, threads, timers, |_| {})?;
-        stats.absorb(&read_stats);
-        let t_sort = std::time::Instant::now();
-        let mut records = Vec::with_capacity(runs.iter().map(Vec::len).sum());
-        for mut run in runs {
-            records.append(&mut run);
+        let mut records = Vec::new();
+        for (path, machine, process, _day) in &files {
+            let (recs, file_stats) = read_logfile(path, *machine, *process)?;
+            stats.absorb(&file_stats);
+            records.extend(recs);
         }
         records.sort_by_key(|r| r.t);
-        timers.add(Phase::Sort, saturating_nanos(t_sort));
         Ok((records, stats))
     }
 
@@ -527,7 +474,9 @@ impl LogDirReader {
     /// (see [`DirSink::create_stamped`](crate::DirSink::create_stamped))
     /// the concatenation of all chunks is therefore the exact canonical
     /// order of `MemorySink::take_sorted` — what lets off-disk analytics
-    /// reproduce the in-memory results bit for bit.
+    /// reproduce the in-memory results bit for bit. On an unstamped
+    /// directory every record has origin and seq 0, and the concatenation
+    /// equals [`Self::read_all`].
     pub fn day_chunks(&self, threads: usize) -> std::io::Result<DayChunks> {
         let (files, skipped_files) = self.logfiles()?;
         let mut days: Vec<(u64, Vec<LogfileEntry>)> = Vec::new();
@@ -547,6 +496,7 @@ impl LogDirReader {
             threads: threads.max(1),
             next: 0,
             skipped_files,
+            timers: PhaseTimers::new(),
         })
     }
 }
@@ -569,6 +519,7 @@ pub struct DayChunks {
     threads: usize,
     next: usize,
     skipped_files: usize,
+    timers: PhaseTimers,
 }
 
 impl DayChunks {
@@ -584,6 +535,13 @@ impl DayChunks {
         self.skipped_files
     }
 
+    /// Parse and sort time of the days read so far: parse thread-time, the
+    /// per-range sorts included, in `parse_nanos`, and the merges of the
+    /// sorted runs in `sort_nanos`.
+    pub fn phases(&self) -> PhaseNanos {
+        self.timers.snapshot()
+    }
+
     /// Reads, parses and canonically sorts the next day. `None` when every
     /// day has been consumed.
     ///
@@ -592,18 +550,11 @@ impl DayChunks {
     /// range: about four ranges per requested thread, as the parse plans
     /// its byte ranges, on at most one worker per core.
     pub fn next_day(&mut self) -> Option<std::io::Result<DayChunk>> {
-        self.next_day_timed(&PhaseTimers::new())
-    }
-
-    /// [`Self::next_day`], charging parse thread-time (the per-range sorts
-    /// included) to [`Phase::Parse`] and the merge of the sorted runs to
-    /// [`Phase::Sort`].
-    pub fn next_day_timed(&mut self, timers: &PhaseTimers) -> Option<std::io::Result<DayChunk>> {
         let (day, files) = self.days.get(self.next)?;
         self.next += 1;
-        let sort_run: fn(&mut Vec<TraceRecord>) = |run| run.sort_by_key(merge_key);
+        let timers = &self.timers;
         Some(
-            read_runs(files, self.threads, timers, sort_run).map(|(runs, stats)| {
+            read_sorted_runs(files, self.threads, timers).map(|(runs, stats)| {
                 let t_merge = std::time::Instant::now();
                 let pieces = self.threads * 4;
                 let records = merge_runs_parallel(runs, pieces, worker_count(self.threads, pieces));
@@ -709,6 +660,28 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Drains `day_chunks(threads)`: every chunk's records concatenated in
+    /// day order, and the chunk stats summed with the directory's skipped
+    /// files counted once, as `read_all` counts them.
+    fn drain_days(reader: &LogDirReader, threads: usize) -> (Vec<TraceRecord>, ParseStats) {
+        let mut chunks = reader.day_chunks(threads).unwrap();
+        let mut records = Vec::new();
+        let mut stats = ParseStats {
+            skipped_files: chunks.skipped_files(),
+            ..ParseStats::default()
+        };
+        while let Some(chunk) = chunks.next_day() {
+            let chunk = chunk.unwrap();
+            stats.absorb(&chunk.stats);
+            records.extend(chunk.records);
+        }
+        assert!(chunks.phases().parse_nanos > 0, "parse time not charged");
+        (records, stats)
+    }
+
+    /// `DirSink` files split the trace by day, so the drained day reader
+    /// equals the serial `read_all`, records and stats, at every thread
+    /// count.
     #[test]
     fn parallel_read_is_identical_to_serial_at_every_thread_count() {
         let dir = std::env::temp_dir().join(format!("u1-logdir-par-test-{}", std::process::id()));
@@ -716,8 +689,8 @@ mod tests {
 
         let reader = LogDirReader::new(&dir);
         let (serial, serial_stats) = reader.read_all().unwrap();
-        for threads in [1, 2, 3, 8, 64] {
-            let (par, par_stats) = reader.read_all_parallel(threads).unwrap();
+        for threads in [1, 2, 3, 4, 8, 64] {
+            let (par, par_stats) = drain_days(&reader, threads);
             assert_eq!(par_stats, serial_stats, "stats differ at {threads} threads");
             assert_eq!(par, serial, "records differ at {threads} threads");
         }
@@ -775,10 +748,9 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// The directory-level byte-range reader at thread counts 1/2/4/8 on a
-    /// directory containing an empty file and a no-trailing-newline file:
-    /// records and stats byte-identical to serial, and the planner actually
-    /// splits a large file into multiple ranges.
+    /// The day reader at thread counts 1/2/4/8 on a directory containing an
+    /// empty file and a no-trailing-newline file: records and stats
+    /// identical to the serial `read_all`.
     #[test]
     fn byte_range_parallel_read_matches_serial_with_edge_files() {
         let dir = std::env::temp_dir().join(format!("u1-logdir-range-test-{}", std::process::id()));
@@ -794,7 +766,7 @@ mod tests {
         let reader = LogDirReader::new(&dir);
         let (serial, serial_stats) = reader.read_all().unwrap();
         for threads in [1, 2, 4, 8] {
-            let (par, par_stats) = reader.read_all_parallel(threads).unwrap();
+            let (par, par_stats) = drain_days(&reader, threads);
             assert_eq!(par_stats, serial_stats, "stats differ at {threads} threads");
             assert_eq!(par, serial, "records differ at {threads} threads");
         }
@@ -1067,10 +1039,10 @@ mod tests {
             let (records, stats) = read_logfile_at_splits(&path, m, p, &splits).unwrap();
             check(&records, &stats, &recs, "read_logfile_at_splits");
         }
+        let reader = LogDirReader::new(&dir);
+        let (records, stats) = reader.read_all().unwrap();
+        check(&records, &stats, &recs, "read_all");
         for threads in [1, 2, 4, 8] {
-            let reader = LogDirReader::new(&dir);
-            let (records, stats) = reader.read_all_parallel(threads).unwrap();
-            check(&records, &stats, &recs, "read_all_parallel");
             let mut chunks = reader.day_chunks(threads).unwrap();
             let chunk = chunks.next_day().unwrap().unwrap();
             check(&chunk.records, &chunk.stats, &sorted, "day_chunks");

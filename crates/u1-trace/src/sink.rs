@@ -140,9 +140,9 @@ impl MemorySink {
     /// `(0, 0)`-stamped records, whose emission order the merge preserves.
     ///
     /// The runs are merged by key range on the host's cores
-    /// ([`merge_runs_parallel`]), each range written straight into its
+    /// (`merge::merge_runs_parallel`), each range written straight into its
     /// slice of the output, so the first touch of a month-sized output is
-    /// spread over every core. Traces below [`PARALLEL_TAKE_MIN_RECORDS`]
+    /// spread over every core. Traces below `PARALLEL_TAKE_MIN_RECORDS`
     /// are merged on the calling thread.
     pub fn take_sorted(&self) -> Vec<TraceRecord> {
         let mut runs: Vec<Vec<TraceRecord>> = Vec::new();

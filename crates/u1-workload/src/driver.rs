@@ -1934,12 +1934,7 @@ mod tests {
         let report = Driver::new(cfg, backend, clock).run();
         let records = sink.take_sorted();
         assert_eq!(records.len(), 8184);
-        let mut buf = String::new();
-        for r in &records {
-            buf.push_str(&u1_trace::csvline::to_line(r));
-            buf.push_str(&format!("|{}|{}\n", r.origin, r.seq));
-        }
-        let hash = u1_core::Sha1::digest(buf.as_bytes()).to_hex();
+        let hash = u1_trace::trace_hash(&records);
         assert_eq!(hash, "78be5180fee062f073b8838c0cb695e681de3f1b");
         assert_eq!(
             report,
@@ -2011,12 +2006,7 @@ mod tests {
         let report = Driver::new(cfg, backend, clock).run();
         let records = sink.take_sorted();
         assert_eq!(records.len(), 8184);
-        let mut buf = String::new();
-        for r in &records {
-            buf.push_str(&u1_trace::csvline::to_line(r));
-            buf.push_str(&format!("|{}|{}\n", r.origin, r.seq));
-        }
-        let hash = u1_core::Sha1::digest(buf.as_bytes()).to_hex();
+        let hash = u1_trace::trace_hash(&records);
         assert_eq!(hash, "78be5180fee062f073b8838c0cb695e681de3f1b");
         assert_eq!(report.rpc_timeouts + report.client_retries, 0);
         assert_eq!(report.uploads_interrupted, 0);

@@ -702,14 +702,8 @@ mod tests {
             let report = run_lockstep(&cfg, &clock, &tokens, |_| {
                 DirectTransport::new(Arc::clone(&backend))
             });
-            let mut sha = u1_core::Sha1::new();
-            for r in sink.take_sorted() {
-                let mut line = String::new();
-                let _ = u1_trace::csvline::write_line(&r, &mut line);
-                sha.update(line.as_bytes());
-            }
             reports.push(report);
-            hashes.push(sha.finalize().to_hex());
+            hashes.push(u1_trace::trace_hash(&sink.take_sorted()));
         }
         assert_eq!(reports[0], reports[1]);
         assert_eq!(hashes[0], hashes[1]);
