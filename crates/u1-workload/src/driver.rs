@@ -2061,6 +2061,58 @@ mod tests {
         assert!(r1.uploads > 10, "{r1:?}");
     }
 
+    /// Locks the exact output of a faulted run — full report plus the
+    /// stamped trace SHA-1 — so a change to the client retry, breaker,
+    /// crash or resume paths that alters which calls reach the backend
+    /// shows up here, not only as a worker-count mismatch.
+    #[test]
+    fn golden_faulted_trace_and_report_are_unchanged() {
+        let (report, records) = run_faulted(1);
+        assert_eq!(records.len(), 8500);
+        assert_eq!(
+            u1_trace::trace_hash(&records),
+            "4e53bd4a99aa8b3ebbc79167a770b43331bd935d"
+        );
+        assert_eq!(
+            report,
+            DriverReport {
+                users: 120,
+                seeded_files: 246,
+                sessions_opened: 374,
+                sessions_auth_failed: 61,
+                ops_executed: 1885,
+                op_errors: 18,
+                uploads: 98,
+                upload_updates: 6,
+                uploads_deduplicated: 14,
+                bytes_uploaded: 100_226_618,
+                downloads: 23,
+                bytes_downloaded: 25_701_437,
+                unlinks: 33,
+                attack_sessions: 0,
+                attack_ops: 0,
+                users_banned: 0,
+                maintenance_runs: 3,
+                uploadjobs_reaped: 0,
+                token_cache_hits: 0,
+                token_cache_misses: 0,
+                client_retries: 9,
+                breaker_fastfails: 12,
+                uploads_interrupted: 2,
+                uploads_resumed: 0,
+                uploads_abandoned: 0,
+                rescans_forced: 1,
+                rpc_timeouts: 11,
+                rpc_retries: 11,
+                auth_fallbacks: 0,
+                notify_dropped: 10,
+                part_put_failures: 1,
+                trace_io_errors: 0,
+                timing: Measured(PhaseNanos::default()),
+            }
+        );
+    }
+
     fn run_quick_cached(workers: usize) -> (DriverReport, Vec<u1_trace::TraceRecord>) {
         let clock = SimClock::new();
         let sink = Arc::new(MemorySink::new());

@@ -13,6 +13,7 @@
 use std::sync::Arc;
 use ubuntuone::auth::AuthConfig;
 use ubuntuone::client::{DirectTransport, TcpTransport};
+use ubuntuone::core::timing::Measured;
 use ubuntuone::core::{SimClock, UserId};
 use ubuntuone::server::{Backend, BackendConfig, TcpServer};
 use ubuntuone::trace::{trace_hash, MemorySink};
@@ -99,6 +100,26 @@ fn wire_fleet_reproduces_in_process_trace_byte_for_byte() {
     assert_eq!(
         direct_hash, GOLDEN_FLEET_SHA,
         "golden fleet trace moved — re-pin only for deliberate model changes"
+    );
+    assert_eq!(
+        direct_report,
+        FleetReport {
+            users: 12,
+            sessions: 24,
+            active_sessions: 1,
+            ops_executed: 120,
+            op_errors: 1,
+            uploads: 20,
+            uploads_deduplicated: 0,
+            bytes_uploaded: 14_076_032,
+            downloads: 15,
+            bytes_downloaded: 5_089_327,
+            metadata_ops: 85,
+            // Eq-invisible (wire push timing races); listed so the
+            // literal stays exhaustive.
+            pushes_observed: Measured(0),
+        },
+        "golden fleet report moved — re-pin only for deliberate model changes"
     );
 }
 
