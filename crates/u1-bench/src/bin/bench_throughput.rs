@@ -98,19 +98,7 @@ fn main() {
              multi-core host to measure scaling"
         );
     }
-    let mut cfg = WorkloadConfig::paper_scaled();
-    if let Ok(v) = std::env::var("U1_USERS") {
-        cfg.users = v.parse().expect("U1_USERS must be an integer");
-    }
-    if let Ok(v) = std::env::var("U1_DAYS") {
-        cfg.days = v.parse().expect("U1_DAYS must be an integer");
-    }
-    if let Ok(v) = std::env::var("U1_SEED") {
-        cfg.seed = v.parse().expect("U1_SEED must be an integer");
-    }
-    if std::env::var("U1_ATTACKS").as_deref() == Ok("0") {
-        cfg.attacks = false;
-    }
+    let cfg = u1_bench::config_from_env();
     // `--faults <spec>` / `U1_FAULTS=<spec>`: run under an injected fault
     // plan (default: faults off).
     let args: Vec<String> = std::env::args().collect();

@@ -26,8 +26,8 @@ pub mod scenario;
 
 pub use fingerprint::Fingerprint;
 pub use scenario::{
-    run_scenario, run_scenario_streamed, run_scenario_with_faults, scenario_from_env, Scenario,
-    StreamedScenario,
+    config_from_env, run_scenario, run_scenario_streamed, run_scenario_with_faults,
+    scenario_from_env, Scenario, StreamedScenario,
 };
 
 use serde_json::Value;

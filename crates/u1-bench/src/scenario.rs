@@ -131,9 +131,14 @@ pub fn run_scenario_streamed(
     })
 }
 
-/// Builds the workload configuration from the environment (see crate docs)
-/// and runs it.
+/// Runs the workload configuration [`config_from_env`] builds.
 pub fn scenario_from_env() -> Scenario {
+    run_scenario(config_from_env())
+}
+
+/// The paper-scaled workload configuration with the environment's
+/// overrides applied (see crate docs).
+pub fn config_from_env() -> WorkloadConfig {
     let mut cfg = WorkloadConfig::paper_scaled();
     if let Ok(v) = std::env::var("U1_USERS") {
         cfg.users = v.parse().expect("U1_USERS must be an integer");
@@ -147,5 +152,5 @@ pub fn scenario_from_env() -> Scenario {
     if std::env::var("U1_ATTACKS").as_deref() == Ok("0") {
         cfg.attacks = false;
     }
-    run_scenario(cfg)
+    cfg
 }

@@ -192,7 +192,7 @@ impl Transport for DirectTransport {
                 let mut remaining = size.max(1);
                 let mut offset = 0usize;
                 while remaining > 0 {
-                    let part = remaining.min(u1_blobstore_part_size());
+                    let part = remaining.min(u1_blobstore::PART_SIZE);
                     let chunk = data.as_ref().map(|d| {
                         let end = (offset + part as usize).min(d.len());
                         d[offset.min(d.len())..end].to_vec()
@@ -235,10 +235,6 @@ impl Transport for DirectTransport {
     fn session(&self) -> Option<SessionId> {
         self.session
     }
-}
-
-fn u1_blobstore_part_size() -> u64 {
-    u1_blobstore::PART_SIZE
 }
 
 // ---------------------------------------------------------------------------
@@ -513,7 +509,7 @@ impl Transport for TcpTransport {
                     // sequences and trace records.
                     let mut remaining = size.max(1);
                     while remaining > 0 {
-                        let part = remaining.min(u1_blobstore_part_size());
+                        let part = remaining.min(u1_blobstore::PART_SIZE);
                         self.call_one(Request::UploadChunkSparse { upload, len: part })?;
                         sent += part;
                         remaining -= part;

@@ -168,16 +168,6 @@ impl RetryPolicy {
         }
     }
 
-    /// Default client-side policy used by the workload driver: 3 attempts,
-    /// 500 ms base, 8 s cap.
-    pub fn client_default() -> Self {
-        Self {
-            max_attempts: 3,
-            base: SimDuration::from_millis(500),
-            cap: SimDuration::from_secs(8),
-        }
-    }
-
     /// Backoff delay before issuing attempt `attempt + 1` (i.e. after the
     /// failure of `attempt`, 1-based). Saturates at `cap`.
     pub fn backoff(&self, attempt: u32) -> SimDuration {
@@ -219,8 +209,10 @@ pub struct FaultPlan {
     pub horizon: SimDuration,
     /// Server-side retry policy on the API→DAL path.
     pub rpc_retry: RetryPolicy,
-    /// Client-side retry policy used by the workload driver.
-    pub client_retry: RetryPolicy,
+    /// Tries the workload driver's client gives one call that fails
+    /// `unavailable`, the first included. Retries are re-issued at once,
+    /// with no backoff.
+    pub client_attempts: u32,
 }
 
 impl FaultPlan {
@@ -237,7 +229,7 @@ impl FaultPlan {
             auth_outage_len: SimDuration::ZERO,
             horizon: SimDuration::ZERO,
             rpc_retry: RetryPolicy::dal_default(),
-            client_retry: RetryPolicy::client_default(),
+            client_attempts: 3,
         }
     }
 

@@ -705,36 +705,11 @@ impl Backend {
         Ok(())
     }
 
-    /// The whole upload in one call — what the virtual-time client uses.
-    /// Chunks at the 5MB S3 part size.
-    pub fn upload_file(
-        &self,
-        session: SessionId,
-        volume: VolumeId,
-        node: NodeId,
-        hash: ContentHash,
-        size: u64,
-    ) -> CoreResult<(bool, u64)> {
-        match self.begin_upload(session, volume, node, hash, size)? {
-            UploadOutcome::Deduplicated { .. } => Ok((true, 0)),
-            UploadOutcome::Started { upload } => {
-                let mut remaining = size.max(1);
-                while remaining > 0 {
-                    let part = remaining.min(u1_blobstore::PART_SIZE);
-                    self.upload_chunk(session, upload, part, None)?;
-                    remaining -= part;
-                }
-                let committed = self.commit_upload(session, upload)?;
-                Ok((false, committed.bytes_transferred))
-            }
-        }
-    }
-
-    /// [`Backend::upload_file`] with crash recovery: `resume` continues an
-    /// interrupted upload job from its last recorded part instead of
-    /// restarting the transfer. With `resume: None` and no injected
-    /// faults, the call sequence (and hence the trace) is exactly that of
-    /// `upload_file`: begin, chunk loop, commit.
+    /// The whole upload in one call — what the virtual-time client uses:
+    /// begin, one chunk per 5MB S3 part, commit. Returns whether the
+    /// content deduplicated and the bytes transferred. `resume` continues
+    /// an interrupted upload job from its last recorded part instead of
+    /// restarting the transfer.
     pub fn upload_file_with_recovery(
         &self,
         session: SessionId,
@@ -971,12 +946,12 @@ mod tests {
         let hash = ContentHash::from_content_id(77);
 
         let (dedup, sent) = b
-            .upload_file(h1.session, v1, n1.node, hash, 8_000_000)
+            .upload_file_with_recovery(h1.session, v1, n1.node, hash, 8_000_000, None)
             .unwrap();
         assert!(!dedup);
         assert_eq!(sent, 8_000_000);
         let (dedup, sent) = b
-            .upload_file(h2.session, v2, n2.node, hash, 8_000_000)
+            .upload_file_with_recovery(h2.session, v2, n2.node, hash, 8_000_000, None)
             .unwrap();
         assert!(dedup, "cross-user dedup should hit");
         assert_eq!(sent, 0);
@@ -1141,7 +1116,8 @@ mod tests {
             .make_node(h.session, v, None, NodeKind::File, "f.bin")
             .unwrap();
         let hash = ContentHash::from_content_id(3);
-        b.upload_file(h.session, v, n.node, hash, 1000).unwrap();
+        b.upload_file_with_recovery(h.session, v, n.node, hash, 1000, None)
+            .unwrap();
         assert!(b.blobs.contains(hash));
         b.unlink(h.session, v, n.node).unwrap();
         assert!(!b.blobs.contains(hash), "S3 object deleted with last ref");
@@ -1201,7 +1177,7 @@ mod tests {
             .make_node(h.session, v, None, NodeKind::File, "warez.zip")
             .unwrap();
         let hash = ContentHash::from_content_id(666);
-        b.upload_file(h.session, v, n.node, hash, 50_000_000)
+        b.upload_file_with_recovery(h.session, v, n.node, hash, 50_000_000, None)
             .unwrap();
 
         let evicted = b.ban_user(UserId::new(66));

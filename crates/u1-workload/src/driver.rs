@@ -50,14 +50,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex, RwLock};
 use u1_auth::Token;
 use u1_blobstore::PART_SIZE;
-use u1_core::fault::{self, CircuitBreaker, FaultInjector, RetryPolicy};
+use u1_core::fault::{self, CircuitBreaker, FaultInjector};
 use u1_core::partition::PartitionCtx;
 use u1_core::timing::{saturating_nanos, Measured, Phase, PhaseNanos, PhaseTimers};
 use u1_core::{
     rngx, ApiOpKind, ContentHash, CoreError, CoreResult, NodeKind, SessionId, SimDuration, SimTime,
     UploadId, UserId, VolumeId,
 };
-use u1_server::api::UploadOutcome;
+use u1_server::api::{UploadFailure, UploadOutcome};
 use u1_server::Backend;
 
 /// Workload parameters.
@@ -223,15 +223,47 @@ struct DirRef {
     death: Option<SimTime>,
 }
 
-/// An upload a (simulated) client crash left behind: enough to resume the
-/// job from its last recorded part at the next session.
+/// One file's content to upload: the node it goes to and what it holds.
 #[derive(Debug, Clone)]
-struct CrashedUpload {
+struct FileUpload {
     volume: VolumeId,
     node: u1_core::NodeId,
     name: u1_core::Name,
     hash: ContentHash,
     size: u64,
+}
+
+impl FileUpload {
+    /// The whole upload over session `sid`, continuing job `resume` when
+    /// one is given.
+    fn send(
+        &self,
+        backend: &Backend,
+        sid: SessionId,
+        resume: Option<UploadId>,
+    ) -> Result<(bool, u64), UploadFailure> {
+        backend.upload_file_with_recovery(sid, self.volume, self.node, self.hash, self.size, resume)
+    }
+
+    /// The client's record of the file once the upload landed at `t`.
+    fn into_ref(self, death: Option<SimTime>, t: SimTime) -> FileRef {
+        FileRef {
+            volume: self.volume,
+            node: self.node,
+            name: self.name,
+            size: self.size,
+            hash: self.hash,
+            death,
+            last_write: t,
+        }
+    }
+}
+
+/// An upload a (simulated) client crash left behind: enough to resume the
+/// job from its last recorded part at the next session.
+#[derive(Debug, Clone)]
+struct CrashedUpload {
+    file: FileUpload,
     upload: UploadId,
 }
 
@@ -252,7 +284,8 @@ struct ClientState {
     files: Vec<FileRef>,
     dirs: Vec<DirRef>,
     known_gen: HashMap<VolumeId, u64>,
-    pending_upload: Option<(VolumeId, u1_core::NodeId, u1_core::Name, ContentHash, u64)>,
+    /// A file made by `MakeFile` whose content the next `Upload` sends.
+    pending_upload: Option<FileUpload>,
     /// Survives session ends (that is its whole point): a crashed upload
     /// is resumed at the next session, or abandoned once the GC reaps it.
     crashed_upload: Option<CrashedUpload>,
@@ -266,31 +299,55 @@ struct ClientState {
     tiny_budget: u8,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum EventKind {
+/// A shard partition's events; each names a client by its index in the
+/// partition.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum ClientEvent {
     SessionStart(u32),
     Op(u32),
     SessionEnd(u32),
+}
+
+/// The coordinator partition's events.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum CoordinatorEvent {
     Maintenance,
     AttackWave(u8),
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Event {
-    t: SimTime,
+/// A virtual-time event queue. Events pop in `(t, seq)` order, where `seq`
+/// is the push order, so events at the same instant run first in, first
+/// out and the order never depends on the event kinds.
+pub(crate) struct EventQueue<K> {
+    heap: BinaryHeap<Reverse<(SimTime, u64, K)>>,
     seq: u64,
-    kind: EventKind,
 }
 
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.t, self.seq).cmp(&(other.t, other.seq))
+impl<K: Ord> EventQueue<K> {
+    pub(crate) fn new() -> Self {
+        Self {
+            heap: BinaryHeap::new(),
+            seq: 0,
+        }
     }
-}
 
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+    pub(crate) fn push(&mut self, t: SimTime, kind: K) {
+        self.seq += 1;
+        self.heap.push(Reverse((t, self.seq, kind)));
+    }
+
+    pub(crate) fn pop(&mut self) -> Option<(SimTime, K)> {
+        self.heap.pop().map(|Reverse((t, _, kind))| (t, kind))
+    }
+
+    /// Pops the earliest event if it is due before `end`; events at or
+    /// past `end` stay queued.
+    pub(crate) fn pop_before(&mut self, end: SimTime) -> Option<(SimTime, K)> {
+        let Reverse((t, _, _)) = self.heap.peek()?;
+        if *t >= end {
+            return None;
+        }
+        self.pop()
     }
 }
 
@@ -400,13 +457,13 @@ struct ShardSim {
     backend: Arc<Backend>,
     clients: Vec<ClientState>,
     files: FileModel,
-    queue: BinaryHeap<Reverse<Event>>,
-    seq: u64,
+    queue: EventQueue<ClientEvent>,
     report: DriverReport,
     /// Client-side view of the fault plane (its own seed stream, distinct
     /// from the backend's): used only for injected client crashes.
     faults: Arc<FaultInjector>,
-    retry_policy: RetryPolicy,
+    /// Total tries of one retried call, the first included.
+    client_attempts: u32,
     /// One breaker per partition — a partition *is* one metastore shard,
     /// which is exactly the failure domain the outage windows cover.
     breaker: CircuitBreaker,
@@ -419,32 +476,17 @@ struct ShardSim {
 }
 
 impl ShardSim {
-    fn push_event(&mut self, t: SimTime, kind: EventKind) {
-        self.seq += 1;
-        self.queue.push(Reverse(Event {
-            t,
-            seq: self.seq,
-            kind,
-        }));
-    }
-
     /// Runs every queued event with `t < end`. Events at or past `end` stay
     /// queued for the next day slice.
     fn run_until(&mut self, end: SimTime) {
-        while self.queue.peek().is_some_and(|Reverse(ev)| ev.t < end) {
-            let Some(Reverse(ev)) = self.queue.pop() else {
-                break;
-            };
-            self.ctx.set_time(ev.t);
+        while let Some((t, ev)) = self.queue.pop_before(end) {
+            self.ctx.set_time(t);
             fault::clear_tags();
             self.events_processed += 1;
-            match ev.kind {
-                EventKind::SessionStart(u) => self.on_session_start(u as usize, ev.t),
-                EventKind::Op(u) => self.on_op(u as usize, ev.t),
-                EventKind::SessionEnd(u) => self.on_session_end(u as usize, ev.t),
-                EventKind::Maintenance | EventKind::AttackWave(_) => {
-                    unreachable!("coordinator event in a shard partition")
-                }
+            match ev {
+                ClientEvent::SessionStart(u) => self.on_session_start(u as usize, t),
+                ClientEvent::Op(u) => self.on_op(u as usize, t),
+                ClientEvent::SessionEnd(u) => self.on_session_end(u as usize, t),
             }
         }
     }
@@ -568,7 +610,8 @@ impl ShardSim {
             let c = &mut self.clients[u];
             sessions::next_session_gap(&mut c.rng, &c.profile, t)
         };
-        self.push_event(t + gap, EventKind::SessionStart(u as u32));
+        self.queue
+            .push(t + gap, ClientEvent::SessionStart(u as u32));
 
         if self.clients[u].session.is_some() {
             return; // still connected; skip this arrival
@@ -589,9 +632,12 @@ impl ShardSim {
                     c.bulk = plan.planned_ops > 3_000;
                     c.last_op = ApiOpKind::Authenticate;
                 }
-                self.push_event(t + plan.duration, EventKind::SessionEnd(u as u32));
+                self.queue
+                    .push(t + plan.duration, ClientEvent::SessionEnd(u as u32));
 
                 let sid = handle.session;
+                // The guard skips the global missed-notify lock in
+                // `take_missed_notify` on every fault-free session start.
                 if !self.faults.is_none() {
                     self.recover_session_state(u, sid, t);
                 }
@@ -620,14 +666,15 @@ impl ShardSim {
                         let c = &mut self.clients[u];
                         sessions::interop_gap_with_mode(&mut c.rng, false, c.bulk)
                     };
-                    self.push_event(t + gap, EventKind::Op(u as u32));
+                    self.queue.push(t + gap, ClientEvent::Op(u as u32));
                 }
             }
             Err(_) => {
                 self.report.sessions_auth_failed += 1;
                 // Transient auth failure: the client retries shortly.
                 let retry = SimDuration::from_secs(self.clients[u].rng.gen_range(20..120));
-                self.push_event(t + retry, EventKind::SessionStart(u as u32));
+                self.queue
+                    .push(t + retry, ClientEvent::SessionStart(u as u32));
             }
         }
     }
@@ -676,28 +723,27 @@ impl ShardSim {
 
     // ----- client-side failure handling -------------------------------------
 
-    /// Client-side retry with bounded exponential backoff, fronted by a
-    /// per-partition circuit breaker (a partition *is* one metastore shard,
-    /// which is exactly the failure domain the injected outage windows
-    /// cover). Under `FaultPlan::none()` this is a plain passthrough call,
-    /// so the fault-free driver is bit-identical to the pre-fault one.
+    /// Client-side retry, fronted by a per-partition circuit breaker (a
+    /// partition *is* one metastore shard, which is exactly the failure
+    /// domain the injected outage windows cover). A failed try is re-issued
+    /// at once, in the same event and at the same virtual time, up to
+    /// `client_attempts` tries in all; each try's trace records carry its
+    /// attempt number.
     ///
     /// Only `unavailable` errors are retried; anything else (not-found,
-    /// permission, invalid) is a real answer, not a fault.
-    fn retry<T>(&mut self, f: impl Fn(&Backend) -> CoreResult<T>) -> CoreResult<T> {
-        if self.faults.is_none() {
-            return f(&self.backend);
-        }
+    /// permission, invalid) is a real answer, not a fault. Without injected
+    /// faults no call the driver retries can fail `unavailable`, so every
+    /// call is issued exactly once.
+    fn retry<T>(&mut self, mut call: impl FnMut(&Backend) -> CoreResult<T>) -> CoreResult<T> {
         let now = u1_core::partition::current_time().unwrap_or(SimTime::ZERO);
         if !self.breaker.allows(now) {
             self.report.breaker_fastfails += 1;
             return Err(CoreError::unavailable("circuit open"));
         }
-        let policy = self.retry_policy;
         let mut attempt = 1u32;
         loop {
             fault::set_attempt(attempt);
-            match f(&self.backend) {
+            match call(&self.backend) {
                 Ok(v) => {
                     self.breaker.record_success();
                     fault::set_attempt(1);
@@ -708,7 +754,7 @@ impl ShardSim {
                     if transient {
                         self.breaker.record_failure(now);
                     }
-                    if !transient || attempt >= policy.max_attempts {
+                    if !transient || attempt >= self.client_attempts {
                         fault::set_attempt(1);
                         return Err(e);
                     }
@@ -719,85 +765,54 @@ impl ShardSim {
         }
     }
 
-    /// One logical upload under the failure model: an injected client crash
-    /// abandons the job mid-transfer (to be resumed at the next session, or
-    /// reaped by the weekly GC); otherwise the transfer runs in the retry
-    /// loop, carrying the upload-job id across attempts so a retry resumes
-    /// from the last recorded part instead of restarting the stream.
-    #[allow(clippy::too_many_arguments)]
-    fn do_upload(
-        &mut self,
-        u: usize,
-        sid: SessionId,
-        vol: VolumeId,
-        node: u1_core::NodeId,
-        name: &str,
-        hash: ContentHash,
-        size: u64,
-    ) -> CoreResult<(bool, u64)> {
-        if self.faults.is_none() {
-            // Identical call sequence to the pre-fault driver.
-            return self.backend.upload_file(sid, vol, node, hash, size);
-        }
-        if self.faults.client_crashes() {
-            return self.crash_mid_upload(u, sid, vol, node, name, hash, size);
-        }
-        let now = u1_core::partition::current_time().unwrap_or(SimTime::ZERO);
-        if !self.breaker.allows(now) {
-            self.report.breaker_fastfails += 1;
-            return Err(CoreError::unavailable("circuit open"));
-        }
-        let policy = self.retry_policy;
-        let mut resume = None;
-        let mut attempt = 1u32;
-        loop {
-            fault::set_attempt(attempt);
-            match self
-                .backend
-                .upload_file_with_recovery(sid, vol, node, hash, size, resume)
-            {
-                Ok(v) => {
-                    self.breaker.record_success();
-                    fault::set_attempt(1);
-                    return Ok(v);
-                }
-                Err(fail) => {
-                    let transient = matches!(fail.error, CoreError::Unavailable(_));
-                    if transient {
-                        self.breaker.record_failure(now);
-                    }
-                    if !transient || attempt >= policy.max_attempts {
-                        fault::set_attempt(1);
-                        return Err(fail.error);
-                    }
+    /// One logical upload under the failure model, counted on success: an
+    /// injected client crash abandons the job mid-transfer (to be resumed at
+    /// the next session, or reaped by the weekly GC); otherwise the transfer
+    /// runs in the retry loop, carrying the upload-job id across attempts so
+    /// a retry resumes from the last recorded part instead of restarting the
+    /// stream.
+    fn do_upload(&mut self, u: usize, sid: SessionId, file: &FileUpload) -> bool {
+        let result = if self.faults.client_crashes() {
+            self.crash_mid_upload(u, sid, file)
+        } else {
+            let mut resume = None;
+            self.retry(|b| {
+                file.send(b, sid, resume).map_err(|fail| {
                     resume = fail.resume;
-                    self.report.client_retries += 1;
-                    attempt += 1;
-                }
-            }
+                    fail.error
+                })
+            })
+        };
+        let Ok((dedup, sent)) = result else {
+            return false;
+        };
+        self.report.uploads += 1;
+        if dedup {
+            self.report.uploads_deduplicated += 1;
         }
+        self.report.bytes_uploaded += sent;
+        true
     }
 
     /// Simulates the client dying mid-transfer: begin the upload, put about
     /// half the parts, then vanish without commit or cancel. The abandoned
     /// job is what the resume path (`recover_session_state`) and the weekly
     /// GC (Appendix A upload jobs) exist for.
-    #[allow(clippy::too_many_arguments)]
     fn crash_mid_upload(
         &mut self,
         u: usize,
         sid: SessionId,
-        vol: VolumeId,
-        node: u1_core::NodeId,
-        name: &str,
-        hash: ContentHash,
-        size: u64,
+        file: &FileUpload,
     ) -> CoreResult<(bool, u64)> {
-        let upload = match self.backend.begin_upload(sid, vol, node, hash, size)? {
-            UploadOutcome::Deduplicated { .. } => return Ok((true, 0)),
-            UploadOutcome::Started { upload } => upload,
-        };
-        let total = size.max(1);
+        let upload =
+            match self
+                .backend
+                .begin_upload(sid, file.volume, file.node, file.hash, file.size)?
+            {
+                UploadOutcome::Deduplicated { .. } => return Ok((true, 0)),
+                UploadOutcome::Started { upload } => upload,
+            };
+        let total = file.size.max(1);
         let parts = total.div_ceil(PART_SIZE);
         let mut sent = 0u64;
         for _ in 0..parts / 2 {
@@ -808,11 +823,7 @@ impl ShardSim {
             sent += part;
         }
         self.clients[u].crashed_upload = Some(CrashedUpload {
-            volume: vol,
-            node,
-            name: name.into(),
-            hash,
-            size,
+            file: file.clone(),
             upload,
         });
         self.report.uploads_interrupted += 1;
@@ -827,14 +838,7 @@ impl ShardSim {
     /// rescan-from-scratch path).
     fn recover_session_state(&mut self, u: usize, sid: SessionId, t: SimTime) {
         if let Some(cu) = self.clients[u].crashed_upload.take() {
-            match self.backend.upload_file_with_recovery(
-                sid,
-                cu.volume,
-                cu.node,
-                cu.hash,
-                cu.size,
-                Some(cu.upload),
-            ) {
+            match cu.file.send(&self.backend, sid, Some(cu.upload)) {
                 Ok((_, sent)) => {
                     self.report.uploads += 1;
                     self.report.uploads_resumed += 1;
@@ -843,22 +847,14 @@ impl ShardSim {
                     if let Some(f) = c
                         .files
                         .iter_mut()
-                        .find(|f| f.volume == cu.volume && f.node == cu.node)
+                        .find(|f| f.volume == cu.file.volume && f.node == cu.file.node)
                     {
-                        f.size = cu.size;
-                        f.hash = cu.hash;
+                        f.size = cu.file.size;
+                        f.hash = cu.file.hash;
                         f.last_write = t;
                     } else {
                         let death = FileModel::sample_lifetime(&mut c.rng, false).map(|d| t + d);
-                        c.files.push(FileRef {
-                            volume: cu.volume,
-                            node: cu.node,
-                            name: cu.name,
-                            size: cu.size,
-                            hash: cu.hash,
-                            death,
-                            last_write: t,
-                        });
+                        c.files.push(cu.file.into_ref(death, t));
                     }
                 }
                 Err(fail) if fail.resume.is_none() => {
@@ -904,7 +900,7 @@ impl ShardSim {
                 let c = &mut self.clients[u];
                 sessions::interop_gap_with_mode(&mut c.rng, metadata, c.bulk)
             };
-            self.push_event(t + gap, EventKind::Op(u as u32));
+            self.queue.push(t + gap, ClientEvent::Op(u as u32));
         }
     }
 
@@ -939,29 +935,14 @@ impl ShardSim {
 
     fn op_upload(&mut self, u: usize, sid: SessionId, t: SimTime) -> bool {
         // A Make that preceded us?
-        if let Some((vol, node, name, hash, size)) = self.clients[u].pending_upload.take() {
-            return match self.do_upload(u, sid, vol, node, &name, hash, size) {
-                Ok((dedup, sent)) => {
-                    self.report.uploads += 1;
-                    if dedup {
-                        self.report.uploads_deduplicated += 1;
-                    }
-                    self.report.bytes_uploaded += sent;
-                    let c = &mut self.clients[u];
-                    let death = FileModel::sample_lifetime(&mut c.rng, false).map(|d| t + d);
-                    c.files.push(FileRef {
-                        volume: vol,
-                        node,
-                        name,
-                        size,
-                        hash,
-                        death,
-                        last_write: t,
-                    });
-                    true
-                }
-                Err(_) => false,
-            };
+        if let Some(file) = self.clients[u].pending_upload.take() {
+            if !self.do_upload(u, sid, &file) {
+                return false;
+            }
+            let c = &mut self.clients[u];
+            let death = FileModel::sample_lifetime(&mut c.rng, false).map(|d| t + d);
+            c.files.push(file.into_ref(death, t));
+            return true;
         }
         // Re-write an existing file? The U1 client re-uploads on any change;
         // §5.1 finds 10.05% of uploads carry *distinct* hash/size (updates),
@@ -972,7 +953,7 @@ impl ShardSim {
             !c.files.is_empty() && c.rng.gen_range(0.0..1.0) < 0.18
         };
         if is_rewrite {
-            let (idx, vol, node, name, hash, size, distinct) = {
+            let (idx, file, distinct) = {
                 let c = &mut self.clients[u];
                 let idx = pick_update_target(c);
                 let old_size = c.files[idx].size;
@@ -985,34 +966,27 @@ impl ShardSim {
                     // short-circuits.
                     (c.files[idx].hash, old_size)
                 };
-                (
-                    idx,
-                    c.files[idx].volume,
-                    c.files[idx].node,
-                    c.files[idx].name.clone(),
+                let f = &c.files[idx];
+                let file = FileUpload {
+                    volume: f.volume,
+                    node: f.node,
+                    name: f.name.clone(),
                     hash,
                     size,
-                    distinct,
-                )
+                };
+                (idx, file, distinct)
             };
-            return match self.do_upload(u, sid, vol, node, &name, hash, size) {
-                Ok((dedup, sent)) => {
-                    self.report.uploads += 1;
-                    if distinct {
-                        self.report.upload_updates += 1;
-                    }
-                    if dedup {
-                        self.report.uploads_deduplicated += 1;
-                    }
-                    self.report.bytes_uploaded += sent;
-                    let f = &mut self.clients[u].files[idx];
-                    f.size = size;
-                    f.hash = hash;
-                    f.last_write = t;
-                    true
-                }
-                Err(_) => false,
-            };
+            if !self.do_upload(u, sid, &file) {
+                return false;
+            }
+            if distinct {
+                self.report.upload_updates += 1;
+            }
+            let f = &mut self.clients[u].files[idx];
+            f.size = file.size;
+            f.hash = file.hash;
+            f.last_write = t;
+            return true;
         }
         // Brand-new file: Make then upload in one chain step.
         if self.clients[u].files.len() > 4_000 {
@@ -1049,26 +1023,19 @@ impl ShardSim {
         else {
             return false;
         };
-        match self.do_upload(u, sid, vol, node.node, &spec.name, spec.hash, spec.size) {
-            Ok((dedup, sent)) => {
-                self.report.uploads += 1;
-                if dedup {
-                    self.report.uploads_deduplicated += 1;
-                }
-                self.report.bytes_uploaded += sent;
-                self.clients[u].files.push(FileRef {
-                    volume: vol,
-                    node: node.node,
-                    name: spec.name,
-                    size: spec.size,
-                    hash: spec.hash,
-                    death: spec.lifetime.map(|d| t + d),
-                    last_write: t,
-                });
-                true
-            }
-            Err(_) => false,
+        let file = FileUpload {
+            volume: vol,
+            node: node.node,
+            name: spec.name,
+            hash: spec.hash,
+            size: spec.size,
+        };
+        if !self.do_upload(u, sid, &file) {
+            return false;
         }
+        let death = spec.lifetime.map(|d| t + d);
+        self.clients[u].files.push(file.into_ref(death, t));
+        true
     }
 
     fn op_download(&mut self, u: usize, sid: SessionId) -> bool {
@@ -1135,8 +1102,13 @@ impl ShardSim {
         let parent = pick_parent(&mut self.clients[u], vol, &mut self.dir_scratch);
         match self.retry(|b| b.make_node(sid, vol, parent, NodeKind::File, &spec.name)) {
             Ok(node) => {
-                self.clients[u].pending_upload =
-                    Some((vol, node.node, spec.name, spec.hash, spec.size));
+                self.clients[u].pending_upload = Some(FileUpload {
+                    volume: vol,
+                    node: node.node,
+                    name: spec.name,
+                    hash: spec.hash,
+                    size: spec.size,
+                });
                 true
             }
             Err(_) => false,
@@ -1274,8 +1246,7 @@ struct CoordinatorSim {
     backend: Arc<Backend>,
     rng: SmallRng,
     files: FileModel,
-    queue: BinaryHeap<Reverse<Event>>,
-    seq: u64,
+    queue: EventQueue<CoordinatorEvent>,
     attacks: Vec<AttackState>,
     report: DriverReport,
     /// Whole-population counters merged at the last day boundary — the
@@ -1288,28 +1259,13 @@ struct CoordinatorSim {
 }
 
 impl CoordinatorSim {
-    fn push_event(&mut self, t: SimTime, kind: EventKind) {
-        self.seq += 1;
-        self.queue.push(Reverse(Event {
-            t,
-            seq: self.seq,
-            kind,
-        }));
-    }
-
     fn run_until(&mut self, end: SimTime) {
-        while self.queue.peek().is_some_and(|Reverse(ev)| ev.t < end) {
-            let Some(Reverse(ev)) = self.queue.pop() else {
-                break;
-            };
-            self.ctx.set_time(ev.t);
+        while let Some((t, ev)) = self.queue.pop_before(end) {
+            self.ctx.set_time(t);
             fault::clear_tags();
-            match ev.kind {
-                EventKind::Maintenance => self.on_maintenance(ev.t),
-                EventKind::AttackWave(i) => self.on_attack_wave(i as usize, ev.t),
-                EventKind::SessionStart(_) | EventKind::Op(_) | EventKind::SessionEnd(_) => {
-                    unreachable!("client event in the coordinator partition")
-                }
+            match ev {
+                CoordinatorEvent::Maintenance => self.on_maintenance(t),
+                CoordinatorEvent::AttackWave(i) => self.on_attack_wave(i as usize, t),
             }
         }
     }
@@ -1355,14 +1311,16 @@ impl CoordinatorSim {
                 token,
                 responded: false,
             });
-            self.push_event(start, EventKind::AttackWave(i as u8));
+            self.queue
+                .push(start, CoordinatorEvent::AttackWave(i as u8));
         }
     }
 
     fn on_maintenance(&mut self, t: SimTime) {
         self.report.maintenance_runs += 1;
         self.report.uploadjobs_reaped += self.backend.run_maintenance() as u64;
-        self.push_event(t + SimDuration::from_days(1), EventKind::Maintenance);
+        self.queue
+            .push(t + SimDuration::from_days(1), CoordinatorEvent::Maintenance);
     }
 
     fn on_attack_wave(&mut self, i: usize, t: SimTime) {
@@ -1449,12 +1407,13 @@ impl CoordinatorSim {
                                     NodeKind::File,
                                     &spec.name,
                                 ) {
-                                    let _ = self.backend.upload_file(
+                                    let _ = self.backend.upload_file_with_recovery(
                                         h.session,
                                         root.volume,
                                         node.node,
                                         spec.hash,
                                         spec.size,
+                                        None,
                                     );
                                 }
                             }
@@ -1468,9 +1427,9 @@ impl CoordinatorSim {
                 }
             }
         }
-        self.push_event(
+        self.queue.push(
             t + SimDuration::from_secs(60),
-            EventKind::AttackWave(i as u8),
+            CoordinatorEvent::AttackWave(i as u8),
         );
     }
 }
@@ -1549,18 +1508,17 @@ impl Driver {
             backend.config().fault.clone(),
             rngx::derive_seed(cfg.seed, "client-faults", 0),
         ));
-        let retry_policy = backend.config().fault.client_retry;
+        let client_attempts = backend.config().fault.client_attempts;
         let shards = (0..shard_count)
             .map(|s| ShardSim {
                 ctx: PartitionCtx::new(s as u32),
                 backend: Arc::clone(&backend),
                 clients: Vec::new(),
                 files: FileModel::with_partition(expected_files, cfg.seed, s as u64, stride),
-                queue: BinaryHeap::new(),
-                seq: 0,
+                queue: EventQueue::new(),
                 report: DriverReport::default(),
                 faults: Arc::clone(&faults),
-                retry_policy,
+                client_attempts,
                 breaker: CircuitBreaker::driver_default(),
                 events_processed: 0,
                 dir_scratch: Vec::new(),
@@ -1571,8 +1529,7 @@ impl Driver {
             backend: Arc::clone(&backend),
             rng: SmallRng::seed_from_u64(rngx::derive_seed(cfg.seed, "driver", 0)),
             files: FileModel::with_partition(expected_files, cfg.seed, shard_count as u64, stride),
-            queue: BinaryHeap::new(),
-            seq: 0,
+            queue: EventQueue::new(),
             attacks: Vec::new(),
             report: DriverReport::default(),
             baseline: DriverReport::default(),
@@ -1670,12 +1627,13 @@ impl Driver {
                 let t0 = SimTime::from_micros(
                     gap.as_micros() % SimDuration::from_days(1).as_micros().max(1),
                 );
-                sim.push_event(t0, EventKind::SessionStart(u as u32));
+                sim.queue.push(t0, ClientEvent::SessionStart(u as u32));
             }
         }
         // Daily maintenance at 03:00 (quiet hours).
         self.coordinator
-            .push_event(SimTime::from_hours(3), EventKind::Maintenance);
+            .queue
+            .push(SimTime::from_hours(3), CoordinatorEvent::Maintenance);
         // Attacks.
         if self.cfg.attacks {
             let cfg = self.cfg.clone();

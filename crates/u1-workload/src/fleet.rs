@@ -25,14 +25,13 @@
 //! times sampled for the `BENCH_wire` latency histograms. It makes no
 //! determinism promises — that is what lockstep is for.
 
+use crate::driver::EventQueue;
 use crate::files::FileModel;
 use crate::markov;
 use crate::sessions::{interop_gap_with_mode, next_session_gap, plan_session};
 use crate::users::{sample_profile, UserProfile};
 use rand::rngs::SmallRng;
 use rand::Rng;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use u1_auth::Token;
 use u1_client::Transport;
 use u1_core::timing::Measured;
@@ -145,6 +144,8 @@ struct ClientSim {
     session_end: SimTime,
     /// Machine-paced session (large planned op count → bulk think times).
     bulk: bool,
+    /// What the client does at its next event.
+    next: Action,
     report: FleetReport,
 }
 
@@ -167,8 +168,46 @@ impl ClientSim {
             remaining_ops: 0,
             session_end: SimTime::ZERO,
             bulk: false,
+            next: Action::Connect,
             report: FleetReport::default(),
         }
+    }
+
+    /// When the first session starts.
+    fn first_arrival(&mut self) -> SimTime {
+        SimTime::ZERO + next_session_gap(&mut self.rng, &self.profile, SimTime::ZERO)
+    }
+
+    /// Runs the client's next action at `now`: connects a fresh transport
+    /// from `connect` into `slot`, runs one op over it, or closes and
+    /// empties it. Returns when the client acts again, or `None` once it
+    /// has retired (or has no session to act in).
+    fn step<T: Transport>(
+        &mut self,
+        slot: &mut Option<T>,
+        connect: impl FnOnce() -> T,
+        now: SimTime,
+    ) -> Option<SimTime> {
+        let (next, at) = match self.next {
+            Action::Connect => {
+                if self.sessions_left == 0 {
+                    return None;
+                }
+                let t = slot.insert(connect());
+                self.connect(t, now)
+            }
+            Action::Op => self.op(slot.as_mut()?, now),
+            Action::Close => {
+                let next = self.close(slot.as_mut()?, now);
+                *slot = None;
+                next
+            }
+        };
+        if next == Action::Connect && self.sessions_left == 0 {
+            return None; // retired
+        }
+        self.next = next;
+        Some(at)
     }
 
     /// Opens a session: authenticate, negotiate caps, list volumes (the
@@ -236,10 +275,20 @@ impl ClientSim {
         (Action::Connect, now + gap)
     }
 
+    /// Counts one op; `result` carries the bytes an upload or download
+    /// moved.
     fn count(&mut self, result: Result<u64, u1_core::CoreError>, op: ApiOpKind) {
         self.report.ops_executed += 1;
+        let bytes = *result.as_ref().unwrap_or(&0);
         match op {
-            ApiOpKind::Upload | ApiOpKind::Download => {}
+            ApiOpKind::Upload => {
+                self.report.uploads += 1;
+                self.report.bytes_uploaded += bytes;
+            }
+            ApiOpKind::Download => {
+                self.report.downloads += 1;
+                self.report.bytes_downloaded += bytes;
+            }
             _ => self.report.metadata_ops += 1,
         }
         if result.is_err() {
@@ -267,50 +316,31 @@ impl ClientSim {
                     let idx = self.rng.gen_range(0..self.known_files.len());
                     let (vol, node, old_size) = self.known_files[idx];
                     let (_cid, hash, size) = self.files.updated_file(&mut self.rng, old_size);
-                    match t.upload(vol, node, hash, size, None) {
-                        Ok(res) => {
-                            self.report.ops_executed += 1;
-                            self.report.uploads += 1;
-                            self.report.bytes_uploaded += res.bytes_sent;
-                            if res.deduplicated {
-                                self.report.uploads_deduplicated += 1;
-                            }
-                            self.known_files[idx].2 = size;
+                    let r = t.upload(vol, node, hash, size, None).map(|res| {
+                        if res.deduplicated {
+                            self.report.uploads_deduplicated += 1;
                         }
-                        Err(_) => {
-                            self.report.ops_executed += 1;
-                            self.report.uploads += 1;
-                            self.report.op_errors += 1;
-                        }
-                    }
+                        self.known_files[idx].2 = size;
+                        res.bytes_sent
+                    });
+                    self.count(r, op);
                 } else {
                     let spec = self.files.new_file(&mut self.rng);
                     match t.make_node(root, None, NodeKind::File, spec.name.as_str()) {
                         Ok(info) => {
-                            self.report.ops_executed += 1;
-                            self.report.metadata_ops += 1;
-                            match t.upload(root, info.node, spec.hash, spec.size, None) {
-                                Ok(res) => {
-                                    self.report.ops_executed += 1;
-                                    self.report.uploads += 1;
-                                    self.report.bytes_uploaded += res.bytes_sent;
-                                    if res.deduplicated {
-                                        self.report.uploads_deduplicated += 1;
-                                    }
-                                    self.known_files.push((root, info.node, spec.size));
-                                }
-                                Err(_) => {
-                                    self.report.ops_executed += 1;
-                                    self.report.uploads += 1;
-                                    self.report.op_errors += 1;
-                                }
-                            }
+                            self.count(Ok(0), ApiOpKind::MakeFile);
+                            let r =
+                                t.upload(root, info.node, spec.hash, spec.size, None)
+                                    .map(|res| {
+                                        if res.deduplicated {
+                                            self.report.uploads_deduplicated += 1;
+                                        }
+                                        self.known_files.push((root, info.node, spec.size));
+                                        res.bytes_sent
+                                    });
+                            self.count(r, op);
                         }
-                        Err(_) => {
-                            self.report.ops_executed += 1;
-                            self.report.metadata_ops += 1;
-                            self.report.op_errors += 1;
-                        }
+                        Err(e) => self.count(Err(e), ApiOpKind::MakeFile),
                     }
                 }
             }
@@ -324,18 +354,8 @@ impl ClientSim {
                 } else {
                     let idx = self.rng.gen_range(0..self.known_files.len());
                     let (vol, node, _) = self.known_files[idx];
-                    match t.download(vol, node) {
-                        Ok((size, _hash, _data)) => {
-                            self.report.ops_executed += 1;
-                            self.report.downloads += 1;
-                            self.report.bytes_downloaded += size;
-                        }
-                        Err(_) => {
-                            self.report.ops_executed += 1;
-                            self.report.downloads += 1;
-                            self.report.op_errors += 1;
-                        }
-                    }
+                    let r = t.download(vol, node).map(|(size, _, _)| size);
+                    self.count(r, op);
                 }
             }
             ApiOpKind::MakeFile => {
@@ -474,49 +494,17 @@ where
         .collect();
     let mut transports: Vec<Option<T>> = (0..clients.len()).map(|_| None).collect();
 
-    // Min-heap on (time, seq): seq is a global tiebreaker so simultaneous
-    // events run in a deterministic order.
-    let mut heap: BinaryHeap<Reverse<(SimTime, u64, usize)>> = BinaryHeap::new();
-    let mut actions: Vec<Action> = vec![Action::Connect; clients.len()];
-    let mut seq = 0u64;
+    // Simultaneous events run in push order, so the schedule is a pure
+    // function of the seed.
+    let mut queue = EventQueue::new();
     for (i, client) in clients.iter_mut().enumerate() {
-        let gap = next_session_gap(&mut client.rng, &client.profile, SimTime::ZERO);
-        heap.push(Reverse((SimTime::ZERO + gap, seq, i)));
-        seq += 1;
+        queue.push(client.first_arrival(), i);
     }
-
-    while let Some(Reverse((now, _, i))) = heap.pop() {
+    while let Some((now, i)) = queue.pop() {
         clock.set(now);
-        let client = &mut clients[i];
-        let (next_action, next_at) = match actions[i] {
-            Action::Connect => {
-                if client.sessions_left == 0 {
-                    continue;
-                }
-                let mut t = factory(i);
-                let next = client.connect(&mut t, now);
-                transports[i] = Some(t);
-                next
-            }
-            Action::Op => match transports[i].as_mut() {
-                Some(t) => client.op(t, now),
-                None => continue,
-            },
-            Action::Close => match transports[i].as_mut() {
-                Some(t) => {
-                    let next = client.close(t, now);
-                    transports[i] = None;
-                    next
-                }
-                None => continue,
-            },
-        };
-        if next_action == Action::Connect && client.sessions_left == 0 {
-            continue; // retired
+        if let Some(at) = clients[i].step(&mut transports[i], || factory(i), now) {
+            queue.push(at, i);
         }
-        actions[i] = next_action;
-        heap.push(Reverse((next_at, seq, i)));
-        seq += 1;
     }
 
     let mut total = FleetReport {
@@ -583,6 +571,9 @@ where
     (total, samples)
 }
 
+/// One client of [`run_concurrent`]: [`ClientSim::step`] in a loop that
+/// sleeps out the scaled think time and samples the service time of every
+/// connect (charged to `Authenticate`) and every op issued.
 fn run_one_concurrent<T, F>(
     mut client: ClientSim,
     index: usize,
@@ -595,65 +586,45 @@ where
 {
     const MAX_SLEEP: std::time::Duration = std::time::Duration::from_millis(50);
     let mut samples = Vec::new();
-    let first_gap = next_session_gap(&mut client.rng, &client.profile, SimTime::ZERO);
-    let mut now = SimTime::ZERO + first_gap;
-    let mut action = Action::Connect;
     let mut transport: Option<T> = None;
+    let mut now = client.first_arrival();
     loop {
-        let (next_action, next_at) = match action {
-            Action::Connect => {
-                if client.sessions_left == 0 {
-                    break;
-                }
-                let mut t = factory(index);
-                let started = std::time::Instant::now();
-                let next = client.connect(&mut t, now);
-                samples.push(ServiceSample {
-                    client: index as u32,
-                    op: ApiOpKind::Authenticate,
-                    nanos: u1_core::timing::saturating_nanos(started),
-                });
-                transport = Some(t);
-                next
-            }
-            Action::Op => match transport.as_mut() {
-                Some(t) => {
-                    let started = std::time::Instant::now();
-                    let before = client.last_op;
-                    let next = client.op(t, now);
-                    let issued = client.last_op;
-                    // `op` may have closed instead of issuing; only sample
-                    // real exchanges.
-                    if next.0 == Action::Op || issued != before {
-                        samples.push(ServiceSample {
-                            client: index as u32,
-                            op: issued,
-                            nanos: u1_core::timing::saturating_nanos(started),
-                        });
-                    }
-                    next
-                }
-                None => break,
-            },
-            Action::Close => match transport.as_mut() {
-                Some(t) => {
-                    let next = client.close(t, now);
-                    transport = None;
-                    next
-                }
-                None => break,
-            },
+        let action = client.next;
+        let mut started = std::time::Instant::now();
+        let mut connected = false;
+        // The clock restarts once the connection is made, so a connect
+        // sample times the session start alone.
+        let connect = || {
+            let t = factory(index);
+            started = std::time::Instant::now();
+            connected = true;
+            t
         };
-        if next_action == Action::Connect && client.sessions_left == 0 {
-            break;
+        let next_at = client.step(&mut transport, connect, now);
+        let issued = match action {
+            Action::Connect => connected.then_some(ApiOpKind::Authenticate),
+            // An `Op` that found its session over closes instead of issuing.
+            Action::Op => {
+                (next_at.is_some() && client.next == Action::Op).then_some(client.last_op)
+            }
+            Action::Close => None,
+        };
+        if let Some(op) = issued {
+            samples.push(ServiceSample {
+                client: index as u32,
+                op,
+                nanos: u1_core::timing::saturating_nanos(started),
+            });
         }
-        let gap_us = next_at.since(now).as_micros() / time_scale;
+        let Some(at) = next_at else {
+            break;
+        };
+        let gap_us = at.since(now).as_micros() / time_scale;
         let sleep = std::time::Duration::from_micros(gap_us).min(MAX_SLEEP);
         if !sleep.is_zero() {
             std::thread::sleep(sleep);
         }
-        now = next_at;
-        action = next_action;
+        now = at;
     }
     (client.report, samples)
 }
